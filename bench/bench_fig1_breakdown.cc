@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
       w = ~0ull << rng.NextBounded(64);
     }
     const double ffs_ns = NsPerOp(kIters, [&](u64 i) {
-      sink += enetstl::SoftFfsLoop64(words[i & 1023]);
+      sink = sink + enetstl::SoftFfsLoop64(words[i & 1023]);
     });
     // Dequeue walks `levels` FFS queries; the trace is half dequeues.
     PrintRow("O1 leveraging hardware bit instructions", "eiffel-cffs",
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
     const double total = FullNsPerPacket(nitro, zipf);
     volatile u32 sink = 0;
     const double rand_ns = NsPerOp(kIters, [&](u64) {
-      sink += ebpf::helpers::BpfGetPrandomU32();
+      sink = sink + ebpf::helpers::BpfGetPrandomU32();
     });
     PrintRow("O4 updating based on a random number", "nitro-sketch",
              rand_ns * config.rows, total);
@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
     volatile ebpf::s32 sink = 0;
     const double scan_ns = NsPerOp(kIters, [&](u64 i) {
       probe[0] = static_cast<ebpf::u8>(i);
-      sink += enetstl::scalar::FindKey16(keys, 8, probe);
+      sink = sink + enetstl::scalar::FindKey16(keys, 8, probe);
     });
     PrintRow("O6 arranging multiple buckets contiguously", "cuckoo-switch",
              scan_ns * 2.0, total);

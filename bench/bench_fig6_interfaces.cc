@@ -2,7 +2,8 @@
 // interfaces versus low-level per-instruction interfaces, for the two
 // behaviors the paper evaluates:
 //   COMP — parallel compare/reduce over multiple buckets;
-//   HASH — multiple hash computation with a post-op (counting).
+//   HASH — multiple hash computation with a post-op (counting), per key and
+//          per 32-key burst (set-mask AND, the VBF lookup).
 // Paper: the low-level designs lose 59.0%-73.1%.
 #include <benchmark/benchmark.h>
 
@@ -213,6 +214,76 @@ void BM_Hash_low_level(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Hash_low_level);
+
+// --- HASH at burst granularity: 32 keys x 8 rows, set-mask AND (VBF) --------
+// The argument is log2 of the table's u32 positions: 16 is 256 KiB, the size
+// of every VBF in the repository; 20 and 24 place the table beyond L2.
+
+constexpr u32 kBurstKeys = 32;
+constexpr u32 kBurstRows = 8;
+
+struct BurstFixture {
+  std::vector<u32> table;
+  u32 mask;
+  alignas(16) u8 keys[kBurstKeys][16] = {};
+
+  explicit BurstFixture(const benchmark::State& state)
+      : table(1u << state.range(0)), mask((1u << state.range(0)) - 1) {
+    for (u32 p = 0; p <= mask; ++p) {
+      table[p] = p * 2654435761u;
+    }
+    for (u32 k = 0; k < kBurstKeys; ++k) {
+      std::memcpy(keys[k] + 4, &k, 4);
+    }
+  }
+  // A new burst of distinct keys, so new table positions, per iteration.
+  void NextBurst(u32 i) {
+    for (u32 k = 0; k < kBurstKeys; ++k) {
+      std::memcpy(keys[k], &i, 4);
+    }
+  }
+};
+
+// Two-stage: one multi_hash_prefetch_batch call stores all 32 x 8 positions
+// (and prefetches them); a caller loop reloads them and ANDs the words.
+void BM_HashBatch_two_stage(benchmark::State& state) {
+  BurstFixture f(state);
+  u32 i = 0;
+  for (auto _ : state) {
+    f.NextBurst(++i);
+    u32 pos[kBurstKeys * kBurstRows];
+    u32 out[kBurstKeys];
+    enetstl::MultiHashPrefetchBatch(f.keys, 16, 16, kBurstKeys, 7, kBurstRows,
+                                    f.mask, f.table.data(), sizeof(u32), 0,
+                                    pos);
+    for (u32 k = 0; k < kBurstKeys; ++k) {
+      u32 result = 0xffffffffu;
+      for (u32 r = 0; r < kBurstRows; ++r) {
+        result &= f.table[pos[k * kBurstRows + r]];
+      }
+      out[k] = result;
+    }
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * kBurstKeys);
+}
+BENCHMARK(BM_HashBatch_two_stage)->Arg(16)->Arg(20)->Arg(24);
+
+// Fused: one hash_mask_and_batch call; each key's lanes are ANDed in a
+// register, no positions are stored across keys.
+void BM_HashBatch_fused(benchmark::State& state) {
+  BurstFixture f(state);
+  u32 i = 0;
+  for (auto _ : state) {
+    f.NextBurst(++i);
+    u32 out[kBurstKeys];
+    enetstl::HashMaskAndBatch(f.table.data(), kBurstRows, f.mask, f.keys, 16,
+                              16, kBurstKeys, 7, out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * kBurstKeys);
+}
+BENCHMARK(BM_HashBatch_fused)->Arg(16)->Arg(20)->Arg(24);
 
 }  // namespace
 

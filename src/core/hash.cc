@@ -112,6 +112,9 @@ ENETSTL_NOINLINE void MultiHashPrefetchBatch(const void* keys, u32 stride,
                                              const void* base, u32 elem_size,
                                              u32 row_stride, u32* out) {
   ebpf::CompilerBarrier();
+  if (!internal::LaneCountInRange(d)) {
+    return;
+  }
   const u8* p = static_cast<const u8*>(keys);
   const u8* b = static_cast<const u8*>(base);
   alignas(32) u32 h[8];

@@ -96,7 +96,8 @@ ENETSTL_NOINLINE void HashPrefetchBatch(const void* keys, u32 stride,
 // and prefetches base + (row_stride * r + out[i*d + r]) * elem_size.
 // row_stride is the element distance between consecutive row bases
 // (cols for a rows x cols sketch, 0 when all rows index one shared array).
-// Exposed as kfunc "enetstl_multi_hash_prefetch_batch".
+// A d outside [1, 8] writes nothing. Exposed as kfunc
+// "enetstl_multi_hash_prefetch_batch".
 ENETSTL_NOINLINE void MultiHashPrefetchBatch(const void* keys, u32 stride,
                                              std::size_t len, u32 n,
                                              u32 base_seed, u32 d, u32 mask,

@@ -59,6 +59,7 @@ int RegisterEnetstlKfuncs(ebpf::KfuncRegistry& registry) {
       {"enetstl_hash_positions", 0, "", net_types},
       {"enetstl_hash_mask_or", 0, "", net_types},
       {"enetstl_hash_mask_and", 0, "", net_types},
+      {"enetstl_hash_mask_and_batch", 0, "", net_types},
 
       // List-buckets data structure (instances are kptrs: alloc/destroy form
       // an acquire/release pair of class "list_buckets").

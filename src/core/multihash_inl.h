@@ -281,6 +281,11 @@ inline void MultiHash8Impl(const void* key, std::size_t len, u32 base_seed,
 #endif
 }
 
+// Lane-count bound of every multi-hash consumer: the kernels produce 8 lanes,
+// so a row count outside [1, 8] is rejected before any lane is read.
+inline constexpr u32 kMaxLanes = 8;
+inline bool LaneCountInRange(u32 rows) { return rows - 1 < kMaxLanes; }
+
 // Computes the first `rows` (<= 8) lane hashes, choosing the narrowest
 // vector that covers them; lanes beyond `rows` are untouched.
 inline void MultiHashImpl(const void* key, std::size_t len, u32 base_seed,

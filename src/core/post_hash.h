@@ -11,7 +11,10 @@
 // double copy that the split interface (MultiHash8ToMem + caller loop) pays.
 //
 // All operations use LaneSeed(base_seed, r) as the r-th hash function and
-// support 1 <= rows <= 8. Column counts are powers of two (col_mask).
+// support 1 <= rows <= 8. A row count outside that range is rejected before
+// any hashing: query forms return their empty result (0, false or -1 with
+// *empty_out = -1), update forms leave the table untouched. Column counts are
+// powers of two (col_mask).
 #ifndef ENETSTL_CORE_POST_HASH_H_
 #define ENETSTL_CORE_POST_HASH_H_
 
@@ -67,6 +70,19 @@ ENETSTL_NOINLINE void HashMaskOr(u32* table, u32 rows, u32 tbl_mask,
 ENETSTL_NOINLINE u32 HashMaskAnd(const u32* table, u32 rows, u32 tbl_mask,
                                  const void* key, std::size_t klen,
                                  u32 base_seed);
+
+// Burst form of HashMaskAnd: out[i] = HashMaskAnd(table, rows, tbl_mask,
+// key_i, klen, base_seed) for n keys laid out `stride` bytes apart. Each
+// key's lanes are hashed once and their table words ANDed in a register:
+// no positions are stored across keys and no prefetch pass runs, which is
+// what wins while the table sits in L2 (every VBF in this repository has
+// 2^16 positions, 256 KiB). Far beyond L2 the two-stage
+// MultiHashPrefetchBatch + gather-AND form overlaps more misses and is the
+// faster one (EXPERIMENTS.md). A rejected row count zeroes out[0..n).
+ENETSTL_NOINLINE void HashMaskAndBatch(const u32* table, u32 rows,
+                                      u32 tbl_mask, const void* keys,
+                                      u32 stride, std::size_t klen, u32 n,
+                                      u32 base_seed, u32* out);
 
 // Raw positions variant: writes the `rows` table positions (h_r & tbl_mask)
 // to pos[]. Used where the post-op cannot be expressed by the fused forms;

@@ -3,17 +3,10 @@
 #include "nf/nf_registry.h"
 
 #include "core/hash.h"
-#include "core/hash_inl.h"
 #include "core/multihash_inl.h"
 #include "core/post_hash.h"
 
 namespace nf {
-
-// Rows is bounded at 8 (MultiHashImpl's lane ceiling), so per-chunk position
-// scratch is kMaxNfBurst * 8 entries.
-namespace {
-inline constexpr u32 kMaxVbfRows = 8;
-}  // namespace
 
 std::optional<FusedKeyOp> VbfBase::LowerToKeyOp() {
   FusedKeyOp op;
@@ -89,32 +82,12 @@ u32 VbfKernel::LookupSets(const void* key, std::size_t len) {
 }
 
 void VbfKernel::LookupSetsBatch(const ebpf::FiveTuple* keys, u32 n, u32* out) {
-  const u32 d = config_.rows;
-  const u32* table = table_.data();
-  ForEachNfChunk(n, [&](u32 start, u32 chunk) {
-    u32 pos[kMaxNfBurst * kMaxVbfRows];
-    // Stage 1: hash every key, prefetch all d positions — the cross-key
-    // overlap the scalar path's d serialized dependent reads cannot get.
-    for (u32 i = 0; i < chunk; ++i) {
-      alignas(32) u32 h[8];
-      enetstl::internal::MultiHashImpl(&keys[start + i],
-                                       sizeof(ebpf::FiveTuple), config_.seed,
-                                       d, h);
-      for (u32 r = 0; r < d; ++r) {
-        const u32 p = h[r] & pos_mask_;
-        pos[i * d + r] = p;
-        enetstl::internal::PrefetchRead(&table[p]);
-      }
-    }
-    // Stage 2: gather-AND over the now-resident positions.
-    for (u32 i = 0; i < chunk; ++i) {
-      u32 result = 0xffffffffu;
-      for (u32 r = 0; r < d; ++r) {
-        result &= table[pos[i * d + r]];
-      }
-      out[start + i] = result;
-    }
-  });
+  // The qualified call inlines the scalar lookup: one pass, each key's lanes
+  // ANDed while still hot, no position array shared across keys (the
+  // HashMaskAndBatch shape without the call boundary).
+  for (u32 i = 0; i < n; ++i) {
+    out[i] = VbfKernel::LookupSets(&keys[i], sizeof(keys[i]));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -151,26 +124,9 @@ void VbfEnetstl::LookupSetsBatch(const ebpf::FiveTuple* keys, u32 n,
     }
     return;
   }
-  const u32 d = config_.rows;
-  ForEachNfChunk(n, [&](u32 start, u32 chunk) {
-    u32 pos[kMaxNfBurst * kMaxVbfRows];
-    // Stage 1: one multi_hash_prefetch_batch kfunc hashes every key's d
-    // lanes and prefetches the masked positions (row_stride 0: one shared
-    // position array). Lane seeds match HashMaskAnd, so positions are
-    // bit-identical to the scalar lookup.
-    enetstl::MultiHashPrefetchBatch(keys + start, sizeof(ebpf::FiveTuple),
-                                    sizeof(ebpf::FiveTuple), chunk,
-                                    config_.seed, d, pos_mask_, table,
-                                    sizeof(u32), 0, pos);
-    // Stage 2: gather-AND over the prefetched positions.
-    for (u32 i = 0; i < chunk; ++i) {
-      u32 result = 0xffffffffu;
-      for (u32 r = 0; r < d; ++r) {
-        result &= table[pos[i * d + r]];
-      }
-      out[start + i] = result;
-    }
-  });
+  enetstl::HashMaskAndBatch(table, config_.rows, pos_mask_, keys,
+                            sizeof(ebpf::FiveTuple), sizeof(ebpf::FiveTuple),
+                            n, config_.seed, out);
 }
 
 namespace builtin {

@@ -36,12 +36,13 @@ class VbfBase : public NetworkFunction {
 
   // Batched multi-set lookup over parsed 5-tuple keys: out[i] =
   // LookupSets(&keys[i], sizeof(keys[i])), bit-identical to the scalar path.
-  // Default is the scalar loop (the pure-eBPF shape); kernel and eNetSTL
-  // variants override it with the two-stage (multi-hash + cross-key
-  // prefetch, then gather-AND) form. Feeds the fused chain path, which is
-  // where VBF's batching lives — the packet-at-a-time walk has no burst
-  // override, so its d serialized row reads per packet are the chain's
-  // dominant cost at depth.
+  // Default is the scalar loop (the pure-eBPF shape). The eNetSTL variant
+  // makes one HashMaskAndBatch kfunc call per burst and the kernel variant
+  // runs the same single pass inline. While the table sits in L2 (every VBF
+  // here is 256 KiB) that beats a hash+prefetch stage followed by a
+  // gather-AND stage; EXPERIMENTS.md measures where it stops doing so.
+  // Feeds the fused chain path, which is where VBF's batching lives — the
+  // packet-at-a-time walk has no burst override.
   virtual void LookupSetsBatch(const ebpf::FiveTuple* keys, u32 n, u32* out) {
     for (u32 i = 0; i < n; ++i) {
       out[i] = LookupSets(&keys[i], sizeof(keys[i]));

@@ -1,8 +1,8 @@
-// Batched lookups must be bit-identical to the scalar paths: the two-stage
-// hash+prefetch pipelines reuse the exact same hash kernels, so for every NF
-// with a batch API, every variant's batch result must equal its scalar
-// result key for key — across hit/miss mixes, chunk-straddling sizes (n >
-// kMaxNfBurst) and misaligned tails.
+// Batched lookups must be bit-identical to the scalar paths: the batch
+// pipelines reuse the exact same hash kernels, so for every NF with a batch
+// API, every variant's batch result must equal its scalar result key for
+// key — across hit/miss mixes, chunk-straddling sizes (n > kMaxNfBurst) and
+// misaligned tails.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -15,6 +15,7 @@
 #include "nf/cuckoo_filter.h"
 #include "nf/cuckoo_switch.h"
 #include "nf/dary_cuckoo.h"
+#include "nf/vbf.h"
 #include "pktgen/flowgen.h"
 
 namespace nf {
@@ -178,6 +179,51 @@ TEST(CmsBatch, EnetstlMatchesScalar) {
         [](const CmsConfig& c) { return std::make_unique<CmsEnetstl>(c); },
         rows);
   }
+}
+
+// VBF: LookupSetsBatch must equal LookupSets key for key, for row counts on
+// both the 4-lane and the 8-lane hash paths, for burst sizes around one
+// chunk, and for a table that was never primed.
+template <typename Vbf>
+void ExpectLookupSetsBatchMatchesScalar() {
+  const auto flows = pktgen::MakeFlowPopulation(600, 46);
+  const std::vector<ebpf::FiveTuple> resident(flows.begin(),
+                                              flows.begin() + 400);
+  const std::vector<ebpf::FiveTuple> absent(flows.begin() + 400, flows.end());
+  for (const u32 rows : {1u, 2u, 4u, 5u, 8u}) {
+    VbfConfig config;
+    config.rows = rows;
+    Vbf unprimed(config);
+    Vbf primed(config);
+    for (u32 i = 0; i < resident.size(); ++i) {
+      primed.AddToSet(&resident[i], sizeof(resident[i]), i % 16);
+    }
+    for (Vbf* vbf : {&unprimed, &primed}) {
+      for (const u32 n : {0u, 1u, 31u, 32u, 33u, 100u}) {
+        const auto keys = MixedKeys(resident, absent, n);
+        std::vector<u32> out(n + 1, 0xdeadbeefu);
+        vbf->LookupSetsBatch(keys.data(), n, out.data());
+        for (u32 i = 0; i < n; ++i) {
+          ASSERT_EQ(out[i], vbf->LookupSets(&keys[i], sizeof(keys[i])))
+              << "rows=" << rows << " n=" << n << " i=" << i
+              << (vbf == &unprimed ? " unprimed" : " primed");
+        }
+        EXPECT_EQ(out[n], 0xdeadbeefu) << "wrote past n=" << n;
+      }
+    }
+  }
+}
+
+TEST(VbfBatch, EbpfMatchesScalar) {
+  ExpectLookupSetsBatchMatchesScalar<VbfEbpf>();
+}
+
+TEST(VbfBatch, KernelMatchesScalar) {
+  ExpectLookupSetsBatchMatchesScalar<VbfKernel>();
+}
+
+TEST(VbfBatch, EnetstlMatchesScalar) {
+  ExpectLookupSetsBatchMatchesScalar<VbfEnetstl>();
 }
 
 // ProcessBurst must produce the same verdict sequence as per-packet Process,

@@ -234,6 +234,40 @@ TEST(HashMask, UnknownKeyUsuallyEmpty) {
   EXPECT_LT(hits, 20u);
 }
 
+// The burst form must equal the per-key kfunc bit for bit, including for
+// keys whose length is odd and whose slots are wider than the key.
+TEST(HashMaskAndBatch, MatchesPerKeyHashMaskAnd) {
+  constexpr u32 kPositions = 1u << 12;
+  constexpr u32 kKlen = 13;
+  constexpr u32 kStride = 20;
+  constexpr u32 kMaxKeys = 100;
+  pktgen::Rng rng(13);
+  std::vector<u32> table(kPositions, 0);
+  std::vector<u8> keys(kMaxKeys * kStride);
+  for (auto& b : keys) {
+    b = static_cast<u8>(rng.NextU32());
+  }
+  // Members: the first half of the keys, each in one of 16 sets. The second
+  // half stays absent, so results mix set vectors with (mostly) empty ones.
+  for (u32 i = 0; i < kMaxKeys / 2; ++i) {
+    HashMaskOr(table.data(), 8, kPositions - 1, &keys[i * kStride], kKlen,
+               kSeed, 1u << (i % 16));
+  }
+  for (const u32 rows : {1u, 2u, 4u, 5u, 8u}) {
+    for (const u32 n : {0u, 1u, 31u, 32u, 33u, 100u}) {
+      std::vector<u32> out(n + 1, 0xdeadbeefu);
+      HashMaskAndBatch(table.data(), rows, kPositions - 1, keys.data(),
+                       kStride, kKlen, n, kSeed, out.data());
+      for (u32 i = 0; i < n; ++i) {
+        ASSERT_EQ(out[i], HashMaskAnd(table.data(), rows, kPositions - 1,
+                                      &keys[i * kStride], kKlen, kSeed))
+            << "rows=" << rows << " n=" << n << " i=" << i;
+      }
+      EXPECT_EQ(out[n], 0xdeadbeefu) << "wrote past n=" << n;
+    }
+  }
+}
+
 // Parameterized over row counts 1..8: fused ops must respect the row bound.
 class PostHashRows : public ::testing::TestWithParam<u32> {};
 
@@ -256,6 +290,64 @@ TEST_P(PostHashRows, OnlyRequestedRowsTouched) {
 
 INSTANTIATE_TEST_SUITE_P(Rows, PostHashRows,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+// The lane buffer holds 8 hashes, so a row count outside [1, 8] must be
+// rejected before any lane is read: query forms return their empty result,
+// update forms leave the table alone. Tables are sized for 9 rows and
+// pre-filled so that reading or writing a ninth lane would show.
+class PostHashRowsOutOfRange : public ::testing::TestWithParam<u32> {};
+
+TEST_P(PostHashRowsOutOfRange, QueriesEmptyAndUpdatesNoop) {
+  const u32 rows = GetParam();
+  constexpr u32 kCols = 64;
+  constexpr u32 kSentinel = 0xabababab;
+  const char key[8] = "rowtest";
+
+  std::vector<u32> counters(9 * kCols, 0);
+  HashCnt(counters.data(), rows, kCols - 1, key, 8, kSeed, 1);
+  EXPECT_EQ(counters, std::vector<u32>(9 * kCols, 0));
+  std::vector<u32> fives(9 * kCols, 5);
+  EXPECT_EQ(HashCntMin(fives.data(), rows, kCols - 1, key, 8, kSeed), 0u);
+
+  std::vector<u64> bitmap(kCols, 0);
+  HashSetBits(bitmap.data(), rows, kCols * 64 - 1, key, 8, kSeed);
+  EXPECT_EQ(bitmap, std::vector<u64>(kCols, 0));
+  const std::vector<u64> full_bitmap(kCols, ~0ull);
+  EXPECT_FALSE(
+      HashTestBits(full_bitmap.data(), rows, kCols * 64 - 1, key, 8, kSeed));
+
+  const std::vector<u32> all_sig(kCols, 7);
+  u32 pos_out = kSentinel;
+  s32 empty_out = 0;
+  EXPECT_EQ(HashCmp(all_sig.data(), kCols - 1, key, 8, kSeed, rows, 7,
+                    &pos_out, &empty_out),
+            -1);
+  EXPECT_EQ(pos_out, kSentinel);
+  EXPECT_EQ(empty_out, -1);
+
+  std::vector<u32> table(kCols, 0);
+  HashMaskOr(table.data(), rows, kCols - 1, key, 8, kSeed, 1u << 4);
+  EXPECT_EQ(table, std::vector<u32>(kCols, 0));
+  const std::vector<u32> all_sets(kCols, 0xffffffffu);
+  EXPECT_EQ(HashMaskAnd(all_sets.data(), rows, kCols - 1, key, 8, kSeed), 0u);
+
+  std::vector<u32> pos(9, kSentinel);
+  HashPositions(pos.data(), rows, kCols - 1, key, 8, kSeed);
+  EXPECT_EQ(pos, std::vector<u32>(9, kSentinel));
+
+  const char keys[2][8] = {"rowtst0", "rowtst1"};
+  std::vector<u32> batch_pos(2 * 9, kSentinel);
+  MultiHashPrefetchBatch(keys, 8, 8, 2, kSeed, rows, kCols - 1,
+                         all_sets.data(), sizeof(u32), 0, batch_pos.data());
+  EXPECT_EQ(batch_pos, std::vector<u32>(2 * 9, kSentinel));
+  std::vector<u32> batch_sets(2, kSentinel);
+  HashMaskAndBatch(all_sets.data(), rows, kCols - 1, keys, 8, 8, 2, kSeed,
+                   batch_sets.data());
+  EXPECT_EQ(batch_sets, std::vector<u32>(2, 0));
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, PostHashRowsOutOfRange,
+                         ::testing::Values(0u, 9u));
 
 }  // namespace
 }  // namespace enetstl

@@ -40,7 +40,14 @@ ebpf::FiveTuple PacketOf(u32 src, u32 dst, ebpf::u16 sport, ebpf::u16 dport,
 
 ebpf::FiveTuple FullMask() {
   ebpf::FiveTuple m;
-  std::memset(&m, 0xff, sizeof(m));
+  m.src_ip = 0xffffffffu;
+  m.dst_ip = 0xffffffffu;
+  m.src_port = 0xffff;
+  m.dst_port = 0xffff;
+  m.protocol = 0xff;
+  for (auto& b : m.pad) {
+    b = 0xff;
+  }
   return m;
 }
 

@@ -44,6 +44,9 @@ TEST(KfuncRegistry, EnetstlRegistrationIsIdempotent) {
   const KfuncDesc* release = reg.Lookup("enetstl_node_release");
   ASSERT_NE(release, nullptr);
   EXPECT_TRUE(release->flags & kKfRelease);
+  const KfuncDesc* mask_and_batch = reg.Lookup("enetstl_hash_mask_and_batch");
+  ASSERT_NE(mask_and_batch, nullptr);
+  EXPECT_EQ(mask_and_batch->flags, 0u);
 }
 
 TEST(Verifier, AcceptsWellFormedProgram) {
