@@ -290,13 +290,13 @@ int main(int argc, char** argv) {
     opts.warmup_packets = 5'000;
     opts.measure_packets = bench::EnvPackets(200'000);
     const pktgen::ShardedPipeline sharded(opts);
-    const auto result = sharded.MeasureThroughput(
+    const auto result = sharded.MeasureScaleOut(
         nf::ShardedChainFactory([&env](u32) {
           return std::shared_ptr<nf::ChainExecutor>(
               nf::MakeBenchChain(ChainStages(4), nf::Variant::kEnetstl, env,
                                  "chain"));
         }),
-        trace);
+        trace, {.enabled = false});  // static RSS
     std::printf("-- sharded chain (4 workers, depth 4, eNetSTL): %.3f Mpps "
                 "aggregate\n",
                 result.total.pps / 1e6);

@@ -137,16 +137,16 @@ void ShardFailoverSweep() {
     opts.warmup_packets = 5'000;
     opts.measure_packets = 200'000;
     opts.rss_seed = 11;
-    const auto result =
-        pktgen::ShardedPipeline(opts).MeasureThroughput(
-            [&replicas](u32 cpu) -> pktgen::ShardedPipeline::BurstHandler {
-              nf::CuckooSwitchKernel* nf = replicas[cpu].get();
-              return [nf](ebpf::XdpContext* ctxs, u32 count,
-                          ebpf::XdpAction* verdicts) {
-                nf->ProcessBurst(ctxs, count, verdicts);
-              };
-            },
-            trace);
+    const auto result = pktgen::ShardedPipeline(opts).MeasureScaleOut(
+        [&replicas](u32 cpu) -> pktgen::ShardedPipeline::ShardProgram {
+          nf::CuckooSwitchKernel* nf = replicas[cpu].get();
+          return {[nf](ebpf::XdpContext* ctxs, u32 count,
+                       ebpf::XdpAction* verdicts) {
+                    nf->ProcessBurst(ctxs, count, verdicts);
+                  },
+                  nullptr};
+        },
+        trace, {.enabled = false});  // static RSS
 
     u64 shard_sum = 0, degraded_sum = 0;
     for (const auto& shard : result.shards) {

@@ -5,7 +5,7 @@
 //     eNetSTL variants — burst 1 is the per-packet baseline dispatch, the
 //     larger bursts run the two-stage (hash+prefetch, then probe) batched
 //     lookup;
-//  2. throughput vs simulated cores (RSS sharding, per-worker table
+//  2. throughput vs simulated cores (static RSS sharding, per-worker table
 //     replicas) for the same three variants;
 //  3. the scale-out matrix: shards {1,2,4,8,16} x Zipf skew {0,0.9,1.1} x
 //     burst {16,32,64}, static-RSS vs the migrating datapath, reported as
@@ -81,18 +81,19 @@ ShardedPoint MeasureShardedMpps(nf::Variant variant,
 
   ShardedPoint point;
   for (int rep = 0; rep < 3; ++rep) {
-    const auto result = pipeline.MeasureThroughput(
-        [&](u32 /*cpu*/) -> pktgen::ShardedPipeline::BurstHandler {
+    const auto result = pipeline.MeasureScaleOut(
+        [&](u32 /*cpu*/) -> pktgen::ShardedPipeline::ShardProgram {
           // Per-worker replica: each simulated core owns its own table, the
           // RSS deployment shape (flow affinity keeps them coherent).
           std::shared_ptr<nf::CuckooSwitchBase> sw =
               MakeSwitch(variant, resident);
-          return [sw](ebpf::XdpContext* ctxs, u32 count,
-                      ebpf::XdpAction* verdicts) {
-            sw->ProcessBurst(ctxs, count, verdicts);
-          };
+          return {[sw](ebpf::XdpContext* ctxs, u32 count,
+                       ebpf::XdpAction* verdicts) {
+                    sw->ProcessBurst(ctxs, count, verdicts);
+                  },
+                  nullptr};
         },
-        trace);
+        trace, {.enabled = false});  // static RSS
 
     u64 packets = 0, dropped = 0, passed = 0, aborted = 0;
     for (const auto& shard : result.shards) {

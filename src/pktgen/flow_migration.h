@@ -1,9 +1,9 @@
 // Live RSS indirection and migration planning for the scale-out pipeline.
 //
-// The static pipeline's indirection table is a plain vector rebuilt offline;
-// the scale-out engine needs the same table as a LIVE object: the migration
-// controller rewrites slots while the workers keep running. LiveRssIndirection
-// holds one atomic owner per slot plus a steering generation
+// BuildRssIndirection returns the initial table as a plain vector; the
+// engine needs it as a LIVE object: the migration controller and dying
+// workers rewrite slots while the other workers keep running.
+// LiveRssIndirection holds one atomic owner per slot plus a steering generation
 // (core/epoch_guard.h SteeringEpoch). Commits are CAS-per-slot — a re-steer
 // only succeeds against the owner the controller believed, so a concurrent
 // death-donation and a migration round can never both move the same slot —
@@ -83,7 +83,8 @@ std::vector<u32> PlanMigration(std::vector<SlotLoad> hot_slots,
 
 // Least-loaded queue among `alive` queues given current load estimates;
 // ties go to the lowest index. Returns alive.size() when nothing is alive.
-// Shared by RebuildRssIndirection and the dying-worker donation path.
+// The one failover placement policy: dying workers and the controller use
+// it to re-steer a slot that has no live owner.
 u32 ChooseLeastLoadedQueue(const std::vector<bool>& alive,
                            const std::vector<u64>& load);
 

@@ -10,12 +10,13 @@
 // owning shard while it lives, the migration controller after it retires.
 //
 // The descriptor is a packet-batch descriptor, not packets: 32 bytes naming
-// the slot, the donor, the position within the slot's sub-trace, and the
-// packet budget still owed. Ordering proof sketch (DESIGN.md §11): the donor
-// stops processing the slot before Submit (release), the adopter starts
-// after Consume observes the completed record (acquire), so every packet of
-// the flow-group processed by the adopter happens-after every packet
-// processed by the donor — per-flow order is a chain of these handoffs.
+// the slot, the donor, whether the slot came from a failed shard, the
+// position within the slot's sub-trace, and the packet budget still owed.
+// Ordering proof sketch (DESIGN.md §11): the donor stops processing the slot
+// before Submit (release), the adopter starts after Consume observes the
+// completed record (acquire), so every packet of the flow-group processed by
+// the adopter happens-after every packet processed by the donor — per-flow
+// order is a chain of these handoffs.
 //
 // Full-ring behaviour follows the ringbuf's overwrite-never discipline:
 // Donate returns false (and the ring counts a dropped event), the donor
@@ -31,13 +32,17 @@
 
 namespace pktgen {
 
+using ebpf::u16;
 using ebpf::u32;
 using ebpf::u64;
 
 // Flow-group (indirection-slot) handoff descriptor.
 struct SlotHandoff {
   u32 slot = 0;       // RSS indirection slot being donated
-  u32 donor = 0;      // donating shard's cpu
+  u16 donor = 0;      // donating shard's cpu (< kNumPossibleCpus)
+  // Set once a dying shard donated the slot and kept through every later
+  // re-steer: packets served from it count as degraded.
+  bool failover = false;
   u64 cursor = 0;     // replay position within the slot's sub-trace
   u64 remaining = 0;  // unserved packet quota owed by the slot
   u64 generation = 0; // steering generation the donor observed when donating

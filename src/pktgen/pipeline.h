@@ -52,7 +52,7 @@ struct ThroughputStats {
   u64 passed = 0;            // XDP_PASS verdicts
   u64 aborted = 0;           // XDP_ABORTED verdicts
   // Packets processed in degraded mode: on a sharded run, packets a surviving
-  // worker absorbed from a failed shard after the RSS indirection rebuild.
+  // worker served from indirection slots a failed shard donated to it.
   u64 degraded = 0;
 
   void AccumulateVerdict(ebpf::XdpAction action) {

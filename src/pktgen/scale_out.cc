@@ -24,9 +24,16 @@
 // Failover composes with migration: a worker whose "shard.kill.<cpu>" fault
 // fires donates every owned slot to the least-loaded survivors through the
 // same rings (re-steering the table itself via CAS), then retires; the
-// controller sweeps retired workers' rings so no descriptor is stranded. If
-// nobody survives, the residual budget is dropped and total.packets <
-// measure_packets (the honest-shortfall convention MeasureThroughput uses).
+// controller sweeps retired workers' rings so no descriptor is stranded. A
+// failover donation marks its descriptor, the mark follows the slot through
+// every later re-steer, and packets served from a marked slot count as
+// degraded. If nobody survives, the residual budget is dropped and
+// total.packets < measure_packets (an honest shortfall, never a hang).
+//
+// Per-burst bookkeeping is kept off shared cache lines: exhausted runs are
+// popped from the head of the run list, each slot's backlog entry has its
+// own line, and the served count reaches the shared countdown only when a
+// run exhausts, the worker idles, donates, or exits.
 //
 // Memory: every worker binds its own SlabArena for slot-run bookkeeping —
 // no datapath allocation crosses a shard boundary (cross_shard_ops() == 0
@@ -58,7 +65,7 @@ namespace {
 using enetstl::SlabArena;
 using WallClock = std::chrono::steady_clock;
 
-double ScaleOutThreadCpuSeconds() {
+double ThreadCpuSeconds() {
 #if defined(__linux__)
   timespec ts;
   if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
@@ -83,7 +90,7 @@ inline ebpf::XdpContext SlotContext(Packet& packet) {
 // worker's own arena (the shard-ownership rule under test).
 struct SlotRun {
   u32 slot = 0;
-  u32 pad = 0;
+  bool failover = false;  // donated by a dying shard at some point
   u64 cursor = 0;     // replay position within the slot's sub-trace
   u64 remaining = 0;  // unserved packet quota
   SlotRun* next = nullptr;
@@ -99,8 +106,14 @@ struct ScaleOutShared {
   std::vector<std::unique_ptr<HandoffRing>>* rings = nullptr;  // per worker
   // Controller's (approximate) view of per-slot backlog; each entry is
   // written only by the slot's current owner (the handoff edge orders
-  // writer successions).
-  std::array<std::atomic<u64>, kRssIndirectionSize> slot_remaining{};
+  // writer successions). One cache line per entry: slot s starts on worker
+  // s % workers, so packed entries would put every worker on every line.
+  struct alignas(SlabArena::kCacheLineSize) SlotBacklog {
+    std::atomic<u64> remaining{0};
+  };
+  std::array<SlotBacklog, kRssIndirectionSize> slot_remaining{};
+  // Unserved packets over all slots, less what workers have served but not
+  // yet published (see ScaleOutWorker::Publish); 0 ends the run.
   std::atomic<u64> global_remaining{0};
   // Start barrier.
   std::atomic<u32> ready{0};
@@ -110,17 +123,19 @@ struct ScaleOutShared {
   // sole consumer of its ring (release/acquire hand-off on the flag).
   std::array<std::atomic<bool>, ebpf::kNumPossibleCpus> alive{};
   std::array<std::atomic<bool>, ebpf::kNumPossibleCpus> retired{};
-  // Residual budget dropped because nobody survived to serve it.
-  std::atomic<u64> dropped_budget{0};
-  // Residual budget dying workers donated to survivors.
-  std::atomic<u64> donated_budget{0};
+  // Residual budget of flow-groups dying workers donated away, counted once
+  // per group (at the donation that marks it), and the part of it later
+  // dropped because nobody survived to serve it.
+  std::atomic<u64> failover_budget{0};
+  std::atomic<u64> failover_dropped{0};
   std::atomic<u64> failover_donations{0};
 
   // Current backlog estimate per worker, from the controller's-eye view.
   void BacklogByWorker(std::vector<u64>& backlog) const {
     backlog.assign(workers, 0);
     for (u32 s = 0; s < kRssIndirectionSize; ++s) {
-      const u64 rem = slot_remaining[s].load(std::memory_order_relaxed);
+      const u64 rem =
+          slot_remaining[s].remaining.load(std::memory_order_relaxed);
       if (rem == 0) {
         continue;
       }
@@ -132,9 +147,11 @@ struct ScaleOutShared {
   }
 
   // Drops a flow-group's residual budget (no survivor can serve it).
-  void DropSlot(u32 slot, u64 remaining) {
-    slot_remaining[slot].store(0, std::memory_order_relaxed);
-    dropped_budget.fetch_add(remaining, std::memory_order_relaxed);
+  void DropSlot(u32 slot, u64 remaining, bool failover) {
+    slot_remaining[slot].remaining.store(0, std::memory_order_relaxed);
+    if (failover) {
+      failover_dropped.fetch_add(remaining, std::memory_order_relaxed);
+    }
     global_remaining.fetch_sub(remaining, std::memory_order_acq_rel);
   }
 };
@@ -160,9 +177,22 @@ struct ScaleOutWorker {
   u64 initial_depth = 0;  // distinct trace packets on initially owned slots
   SlabArena arena;
 
+  // Owned runs; every run on the list has remaining > 0 between bursts.
   SlotRun* head_ = nullptr;
+  // Packets served but not yet subtracted from shared->global_remaining.
+  // They always belong to runs this worker still holds, so the countdown
+  // still reaches 0 exactly when every run has.
+  u64 unpublished_ = 0;
 
-  SlotRun* NewRun(u32 slot, u64 cursor, u64 remaining) {
+  void Publish() {
+    if (unpublished_ != 0) {
+      shared->global_remaining.fetch_sub(unpublished_,
+                                         std::memory_order_acq_rel);
+      unpublished_ = 0;
+    }
+  }
+
+  SlotRun* NewRun(u32 slot, u64 cursor, u64 remaining, bool failover) {
     SlabArena::Allocation alloc = arena.Allocate(kSlotRunShape, sizeof(SlotRun));
     SlotRun* run;
     if (alloc.ptr != nullptr) {
@@ -172,6 +202,7 @@ struct ScaleOutWorker {
       run = new SlotRun;  // arena exhausted (not expected at 128 slots)
     }
     run->slot = slot;
+    run->failover = failover;
     run->cursor = cursor;
     run->remaining = remaining;
     run->next = head_;
@@ -189,14 +220,26 @@ struct ScaleOutWorker {
     }
   }
 
+  // Descriptor handing `run` to another shard at the current generation.
+  SlotHandoff Handoff(const SlotRun& run) const {
+    return SlotHandoff{.slot = run.slot,
+                       .donor = static_cast<u16>(cpu),
+                       .failover = run.failover,
+                       .cursor = run.cursor,
+                       .remaining = run.remaining,
+                       .generation = shared->table->Generation()};
+  }
+
   void AdoptInitial(const std::vector<u64>& quota) {
     for (u32 s = 0; s < kRssIndirectionSize; ++s) {
-      if (shared->table->Owner(s) != cpu || quota[s] == 0) {
+      if (shared->table->Owner(s) != cpu) {
         continue;
       }
-      NewRun(s, 0, quota[s]);
-      ++slots_initial;
       initial_depth += (*shared->slot_traces)[s].size();
+      if (quota[s] > 0) {
+        NewRun(s, 0, quota[s], false);
+        ++slots_initial;
+      }
     }
   }
 
@@ -230,7 +273,7 @@ struct ScaleOutWorker {
   // Adopts every donated flow-group waiting in this worker's ring.
   void DrainAdoptions() {
     (*shared->rings)[cpu]->Drain([this](const SlotHandoff& h) {
-      NewRun(h.slot, h.cursor, h.remaining);
+      NewRun(h.slot, h.cursor, h.remaining, h.failover);
       ++slots_adopted;
     });
   }
@@ -238,6 +281,7 @@ struct ScaleOutWorker {
   // Donates owned slots the table no longer maps to this worker. Returns
   // true when a donation was deferred by a full ring (retry next boundary).
   bool ScanAndDonate() {
+    Publish();  // a donated run must not carry this worker's served count
     bool deferred = false;
     SlotRun** link = &head_;
     while (*link != nullptr) {
@@ -247,9 +291,7 @@ struct ScaleOutWorker {
         link = &run->next;
         continue;
       }
-      const SlotHandoff handoff{run->slot, cpu, run->cursor, run->remaining,
-                                shared->table->Generation()};
-      if (!(*shared->rings)[owner]->Donate(handoff)) {
+      if (!(*shared->rings)[owner]->Donate(Handoff(*run))) {
         ++donate_retries;
         deferred = true;  // keep serving the slot; retry next boundary
         link = &run->next;
@@ -264,7 +306,8 @@ struct ScaleOutWorker {
 
   // Assembles up to `burst` packets across owned slots, in slot-list order.
   // Returns the count; parts[] records which run contributed how many so
-  // the post-burst accounting can decrement the right quotas.
+  // the post-burst accounting can decrement the right quotas. Every part but
+  // the last takes its run's whole remaining quota.
   struct Part {
     SlotRun* run;
     u32 n;
@@ -274,9 +317,6 @@ struct ScaleOutWorker {
     *num_parts = 0;
     for (SlotRun* run = head_; run != nullptr && count < burst;
          run = run->next) {
-      if (run->remaining == 0) {
-        continue;
-      }
       Trace& tr = (*shared->slot_traces)[run->slot];
       const u32 take =
           static_cast<u32>(std::min<u64>(burst - count, run->remaining));
@@ -313,7 +353,7 @@ struct ScaleOutWorker {
             }
           }
           if (!any) {
-            shared->DropSlot(run->slot, run->remaining);
+            shared->DropSlot(run->slot, run->remaining, run->failover);
             break;
           }
           shared->BacklogByWorker(backlog);
@@ -322,13 +362,15 @@ struct ScaleOutWorker {
             continue;  // owner moved under us; re-read and retry
           }
         }
-        const SlotHandoff handoff{run->slot, cpu, run->cursor, run->remaining,
-                                  shared->table->Generation()};
+        SlotHandoff handoff = Handoff(*run);
+        handoff.failover = true;
         if ((*shared->rings)[target]->Donate(handoff)) {
           ++slots_donated;
           shared->failover_donations.fetch_add(1, std::memory_order_relaxed);
-          shared->donated_budget.fetch_add(run->remaining,
-                                           std::memory_order_relaxed);
+          if (!run->failover) {
+            shared->failover_budget.fetch_add(run->remaining,
+                                              std::memory_order_relaxed);
+          }
           break;
         }
         ++donate_retries;
@@ -361,7 +403,7 @@ struct ScaleOutWorker {
 
     const auto pause_clock = [&] {
       if (clock_on) {
-        busy_seconds += ScaleOutThreadCpuSeconds() - t0;
+        busy_seconds += ThreadCpuSeconds() - t0;
         clock_on = false;
       }
     };
@@ -383,6 +425,7 @@ struct ScaleOutWorker {
         const u32 count = FillBurst(ctxs, parts, &num_parts);
         if (count == 0) {
           pause_clock();
+          Publish();
           if (shared->global_remaining.load(std::memory_order_acquire) == 0) {
             break;
           }
@@ -390,7 +433,7 @@ struct ScaleOutWorker {
           continue;
         }
         if (!clock_on) {
-          t0 = ScaleOutThreadCpuSeconds();
+          t0 = ThreadCpuSeconds();
           clock_on = true;
         }
         if constexpr (obs::kCompiledIn) {
@@ -415,24 +458,28 @@ struct ScaleOutWorker {
         for (u32 p = 0; p < num_parts; ++p) {
           SlotRun* run = parts[p].run;
           run->remaining -= parts[p].n;
-          shared->slot_remaining[run->slot].store(run->remaining,
-                                                  std::memory_order_relaxed);
-        }
-        SlotRun** link = &head_;
-        while (*link != nullptr) {
-          SlotRun* run = *link;
-          if (run->remaining == 0) {
-            *link = run->next;
-            FreeRun(run);
-          } else {
-            link = &run->next;
+          if (run->failover) {
+            stats.degraded += parts[p].n;
           }
+          shared->slot_remaining[run->slot].remaining.store(
+              run->remaining, std::memory_order_relaxed);
         }
         done += count;
-        shared->global_remaining.fetch_sub(count, std::memory_order_acq_rel);
+        unpublished_ += count;
+        // FillBurst drains runs from the head, so the exhausted runs are a
+        // prefix of the list.
+        if (head_->remaining == 0) {
+          do {
+            SlotRun* run = head_;
+            head_ = run->next;
+            FreeRun(run);
+          } while (head_ != nullptr && head_->remaining == 0);
+          Publish();
+        }
       }
     }
     pause_clock();
+    Publish();
 
     stats.packets = done;
     stats.seconds = busy_seconds;
@@ -454,7 +501,7 @@ struct ScaleOutWorker {
       while (run != nullptr) {
         SlotRun* next = run->next;
         if (run->remaining > 0) {
-          shared->DropSlot(run->slot, run->remaining);  // defensive
+          shared->DropSlot(run->slot, run->remaining, run->failover);
         }
         FreeRun(run);
         run = next;
@@ -500,7 +547,7 @@ struct ScaleOutController {
           }
         }
         if (!any) {
-          shared->DropSlot(h.slot, h.remaining);
+          shared->DropSlot(h.slot, h.remaining, h.failover);
           return true;  // dropped, not parked
         }
         std::vector<u64> backlog;
@@ -547,20 +594,18 @@ struct ScaleOutController {
       }
 
       if (AllRetired()) {
-        // Nobody can serve what's left (rings are swept above, parked
-        // descriptors have no live target): drop the residual so the run
-        // terminates with an honest shortfall.
+        // Nobody can serve what's left: every ring is now the controller's
+        // (including those of workers that retired after the sweep above),
+        // and parked descriptors have no live target. Drop the residual so
+        // the run terminates with an honest shortfall.
+        for (u32 w = 0; w < shared->workers; ++w) {
+          (*shared->rings)[w]->Drain(
+              [&parked](const SlotHandoff& h) { parked.push_back(h); });
+        }
         for (const SlotHandoff& h : parked) {
-          shared->DropSlot(h.slot, h.remaining);
+          shared->DropSlot(h.slot, h.remaining, h.failover);
         }
         parked.clear();
-        for (u32 s = 0; s < kRssIndirectionSize; ++s) {
-          const u64 rem =
-              shared->slot_remaining[s].load(std::memory_order_relaxed);
-          if (rem > 0) {
-            shared->DropSlot(s, rem);
-          }
-        }
         break;
       }
 
@@ -607,7 +652,7 @@ struct ScaleOutController {
           continue;
         }
         const u64 rem =
-            shared->slot_remaining[s].load(std::memory_order_relaxed);
+            shared->slot_remaining[s].remaining.load(std::memory_order_relaxed);
         if (rem > 0) {
           hot_slots.push_back(SlotLoad{s, rem});
         }
@@ -689,7 +734,8 @@ ShardedPipeline::Result ShardedPipeline::MeasureScaleOut(
   shared.rings = &rings;
   u64 total_quota = 0;
   for (u32 s = 0; s < kRssIndirectionSize; ++s) {
-    shared.slot_remaining[s].store(quota[s], std::memory_order_relaxed);
+    shared.slot_remaining[s].remaining.store(quota[s],
+                                             std::memory_order_relaxed);
     total_quota += quota[s];
   }
   shared.global_remaining.store(total_quota, std::memory_order_relaxed);
@@ -772,9 +818,6 @@ ShardedPipeline::Result ShardedPipeline::MeasureScaleOut(
     }
     result.migration.handoffs += task.slots_adopted;
     result.migration.handoff_retries += task.donate_retries;
-    // Packets a shard served beyond its initial ownership are the scale-out
-    // analogue of the failover/migration "degraded" count: served on behalf
-    // of another shard's flows.
     result.total.packets += shard.stats.packets;
     result.total.dropped += shard.stats.dropped;
     result.total.passed += shard.stats.passed;
@@ -794,14 +837,13 @@ ShardedPipeline::Result ShardedPipeline::MeasureScaleOut(
     result.offered_pps =
         static_cast<double>(result.total.packets) / result.makespan_seconds;
   }
-  // Failover accounting: the budget dying workers donated away, minus any
-  // part of it that was ultimately dropped for want of survivors — i.e. the
-  // packets actually served elsewhere on behalf of failed shards.
-  if (result.failed_workers > 0) {
-    const u64 donated = shared.donated_budget.load(std::memory_order_relaxed);
-    const u64 dropped = shared.dropped_budget.load(std::memory_order_relaxed);
-    result.failover_packets = donated > dropped ? donated - dropped : 0;
-  }
+  // Failover accounting: the budget dying workers donated away, minus the
+  // part of it dropped for want of survivors — i.e. the packets served on
+  // behalf of failed shards. Counted apart from the per-shard degraded
+  // counters, which must sum to the same figure.
+  result.failover_packets =
+      shared.failover_budget.load(std::memory_order_relaxed) -
+      shared.failover_dropped.load(std::memory_order_relaxed);
 
   for (u32 w = 0; w < workers; ++w) {
     if (finishers[w]) {

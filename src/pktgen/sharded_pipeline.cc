@@ -1,216 +1,11 @@
 #include "pktgen/sharded_pipeline.h"
 
 #include <algorithm>
-#include <chrono>
-#include <string>
-#include <thread>
 
-#include "core/fault_injector.h"
 #include "core/hash.h"
 #include "core/hash_inl.h"
-#include "ebpf/helper.h"
-#include "obs/telemetry.h"
-#include "pktgen/flow_migration.h"
-
-#if defined(__linux__)
-#include <time.h>
-#endif
 
 namespace pktgen {
-
-namespace {
-
-using WallClock = std::chrono::steady_clock;
-
-// CPU time consumed by the calling thread. Falls back to wall time on
-// platforms without per-thread clocks (the dedicated-core model then degrades
-// to wall-clock scaling).
-double ThreadCpuSeconds() {
-#if defined(__linux__)
-  timespec ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-  }
-#endif
-  return std::chrono::duration_cast<std::chrono::duration<double>>(
-             WallClock::now().time_since_epoch())
-      .count();
-}
-
-inline ebpf::XdpContext MakeContext(Packet& packet) {
-  ebpf::XdpContext ctx;
-  ctx.data = packet.frame;
-  ctx.data_end = packet.frame + ebpf::kFrameSize;
-  ctx.rx_timestamp_ns = 0;
-  return ctx;
-}
-
-struct WorkerTask {
-  u32 cpu = 0;
-  u32 burst = 1;
-  u64 warmup_packets = 0;
-  u64 measure_packets = 0;
-  Trace queue;  // this worker's steered sub-trace (owned, mutated in place)
-  ShardedPipeline::BurstHandler handler;
-  // Fault point probed once per measured burst; empty disables the probe
-  // (failover replay tasks run fault-free — one failover round per run).
-  std::string kill_point;
-
-  double busy_seconds = 0.0;
-  ThroughputStats stats;
-  bool failed = false;
-
-  void Run() {
-    ebpf::SetCurrentCpu(cpu);
-    if (queue.empty() || !handler) {
-      return;
-    }
-    // Defensive re-clamp: callers clamp burst already, but a zero or
-    // oversized burst here would spin forever / overrun the stack scratch.
-    const u32 b = std::clamp(burst, u32{1}, kMaxBurstSize);
-    const std::size_t n = queue.size();
-    ebpf::XdpContext ctxs[kMaxBurstSize];
-    ebpf::XdpAction verdicts[kMaxBurstSize];
-    std::size_t cursor = 0;
-    auto fill_burst = [&](u32 count) {
-      for (u32 i = 0; i < count; ++i) {
-        ctxs[i] = MakeContext(queue[cursor]);
-        cursor = cursor + 1 < n ? cursor + 1 : 0;
-      }
-    };
-
-    // Per-shard telemetry scope; the whole-burst latency complements the
-    // per-stage scopes a chain program registers itself. When telemetry is
-    // disabled the measured loop runs the handler with no extra clock reads.
-    ebpf::u16 obs_scope = obs::kInvalidScope;
-    if constexpr (obs::kCompiledIn) {
-      obs_scope =
-          obs::Telemetry::Global().RegisterScope("shard/" + std::to_string(cpu));
-    }
-    auto run_burst = [&](u32 count) {
-      if constexpr (obs::kCompiledIn) {
-        obs::Telemetry& telemetry = obs::Telemetry::Global();
-        if (telemetry.enabled()) {
-          const u64 h0 = ebpf::helpers::BpfKtimeGetNs();
-          handler(ctxs, count, verdicts);
-          telemetry.RecordBurst(obs_scope,
-                                ebpf::helpers::BpfKtimeGetNs() - h0, count,
-                                [&](u32 i) { return obs::FlowOf(ctxs[i]); });
-          return;
-        }
-      }
-      handler(ctxs, count, verdicts);
-    };
-
-    for (u64 done = 0; done < warmup_packets;) {
-      const u32 count =
-          static_cast<u32>(std::min<u64>(b, warmup_packets - done));
-      fill_burst(count);
-      handler(ctxs, count, verdicts);
-      done += count;
-    }
-
-    u64 done = 0;
-    const double t0 = ThreadCpuSeconds();
-    while (done < measure_packets) {
-      if (!kill_point.empty() &&
-          enetstl::FaultInjector::Global().ShouldFail(kill_point)) {
-        failed = true;  // shard dies mid-measurement; drained by failover
-        break;
-      }
-      const u32 count =
-          static_cast<u32>(std::min<u64>(b, measure_packets - done));
-      fill_burst(count);
-      run_burst(count);
-      for (u32 i = 0; i < count; ++i) {
-        stats.AccumulateVerdict(verdicts[i]);
-      }
-      done += count;
-    }
-    busy_seconds = ThreadCpuSeconds() - t0;
-
-    stats.packets = done;  // actual count: short of the quota if killed
-    stats.seconds = busy_seconds;
-    if (busy_seconds > 0.0 && done > 0) {
-      stats.pps = static_cast<double>(stats.packets) / busy_seconds;
-      stats.ns_per_packet =
-          busy_seconds * 1e9 / static_cast<double>(stats.packets);
-    }
-  }
-};
-
-}  // namespace
-
-u32 RssQueueForTuple(const ebpf::FiveTuple& tuple, u32 num_queues, u32 seed) {
-  if (num_queues <= 1) {
-    return 0;
-  }
-  return enetstl::internal::HwHashCrcImpl(&tuple, sizeof(tuple), seed) %
-         num_queues;
-}
-
-u32 RssQueueForPacket(const Packet& packet, u32 num_queues, u32 seed) {
-  ebpf::XdpContext ctx;
-  ctx.data = const_cast<u8*>(packet.frame);
-  ctx.data_end = const_cast<u8*>(packet.frame) + ebpf::kFrameSize;
-  ebpf::FiveTuple tuple;
-  if (!ebpf::ParseFiveTuple(ctx, &tuple)) {
-    return 0;
-  }
-  return RssQueueForTuple(tuple, num_queues, seed);
-}
-
-std::vector<u32> BuildRssIndirection(u32 num_queues) {
-  std::vector<u32> table(kRssIndirectionSize, 0);
-  if (num_queues == 0) {
-    return table;
-  }
-  for (u32 i = 0; i < kRssIndirectionSize; ++i) {
-    table[i] = i % num_queues;
-  }
-  return table;
-}
-
-void RebuildRssIndirection(std::vector<u32>& table,
-                           const std::vector<bool>& alive,
-                           const std::vector<u64>& queue_depths) {
-  bool any_alive = false;
-  u64 total_depth = 0;
-  std::vector<u64> load(alive.size(), 0);
-  for (u32 q = 0; q < alive.size(); ++q) {
-    if (alive[q]) {
-      any_alive = true;
-      if (q < queue_depths.size()) {
-        load[q] = queue_depths[q];
-        total_depth += queue_depths[q];
-      }
-    } else if (q < queue_depths.size()) {
-      total_depth += queue_depths[q];
-    }
-  }
-  if (!any_alive || table.empty()) {
-    return;
-  }
-  // A slot's estimated share of the offered load; >= 1 so the depth-blind
-  // variant still spreads orphans evenly instead of piling them on one
-  // survivor.
-  const u64 slot_share =
-      std::max<u64>(1, total_depth / static_cast<u64>(table.size()));
-  for (u32& q : table) {
-    if (q < alive.size() && alive[q]) {
-      continue;  // live flows keep their affinity
-    }
-    const u32 target = ChooseLeastLoadedQueue(alive, load);
-    q = target;
-    load[target] += slot_share;
-  }
-}
-
-void RebuildRssIndirection(std::vector<u32>& table,
-                           const std::vector<bool>& alive) {
-  RebuildRssIndirection(table, alive, {});
-}
 
 namespace {
 
@@ -231,25 +26,15 @@ u32 RssFlowHash(const ebpf::FiveTuple& tuple, u32 seed) {
 
 }  // namespace
 
-u32 RssQueueViaIndirection(const ebpf::FiveTuple& tuple,
-                           const std::vector<u32>& table, u32 seed) {
-  if (table.empty()) {
-    return 0;
+std::vector<u32> BuildRssIndirection(u32 num_queues) {
+  std::vector<u32> table(kRssIndirectionSize, 0);
+  if (num_queues == 0) {
+    return table;
   }
-  const u32 slot = RssFlowHash(tuple, seed) % static_cast<u32>(table.size());
-  return table[slot];
-}
-
-u32 RssQueueForPacketViaIndirection(const Packet& packet,
-                                    const std::vector<u32>& table, u32 seed) {
-  ebpf::XdpContext ctx;
-  ctx.data = const_cast<u8*>(packet.frame);
-  ctx.data_end = const_cast<u8*>(packet.frame) + ebpf::kFrameSize;
-  ebpf::FiveTuple tuple;
-  if (!ebpf::ParseFiveTuple(ctx, &tuple)) {
-    return table.empty() ? 0 : table[0];
+  for (u32 i = 0; i < kRssIndirectionSize; ++i) {
+    table[i] = i % num_queues;
   }
-  return RssQueueViaIndirection(tuple, table, seed);
+  return table;
 }
 
 u32 RssSlotForPacket(const Packet& packet, u32 table_size, u32 seed) {
@@ -298,226 +83,6 @@ ShardedPipeline::ShardedPipeline(const Options& options) : options_(options) {
   options_.num_workers =
       std::clamp(options_.num_workers, u32{1}, ebpf::kNumPossibleCpus);
   options_.burst_size = std::clamp(options_.burst_size, u32{1}, kMaxBurstSize);
-}
-
-ShardedPipeline::Result ShardedPipeline::MeasureThroughput(
-    const HandlerFactory& factory, const Trace& trace) const {
-  ProgramFactory programs;
-  if (factory) {
-    programs = [&factory](u32 cpu) { return ShardProgram{factory(cpu), {}}; };
-  }
-  return MeasureThroughput(programs, trace);
-}
-
-ShardedPipeline::Result ShardedPipeline::MeasureThroughput(
-    const ProgramFactory& factory, const Trace& trace) const {
-  Result result;
-  const u32 workers =
-      std::clamp(options_.num_workers, u32{1}, ebpf::kNumPossibleCpus);
-  const u32 burst = std::clamp(options_.burst_size, u32{1}, kMaxBurstSize);
-  if (trace.empty()) {
-    return result;  // no shards, no threads
-  }
-  result.shards.resize(workers);
-  for (u32 w = 0; w < workers; ++w) {
-    result.shards[w].cpu = w;
-  }
-
-  // Steer the trace: one sub-trace (RX queue) per worker.
-  std::vector<Trace> queues(workers);
-  for (const Packet& packet : trace) {
-    queues[RssQueueForPacket(packet, workers, options_.rss_seed)].push_back(
-        packet);
-  }
-
-  // Split the measured-packet budget proportionally to queue depth (offered
-  // load follows the flow split), making the remainders up on the deepest
-  // queues so the shard counts sum exactly to measure_packets.
-  std::vector<u64> quota(workers, 0);
-  u64 assigned = 0;
-  for (u32 w = 0; w < workers; ++w) {
-    quota[w] = options_.measure_packets * queues[w].size() / trace.size();
-    assigned += quota[w];
-  }
-  for (u64 leftover = options_.measure_packets - assigned; leftover > 0;) {
-    for (u32 w = 0; w < workers && leftover > 0; ++w) {
-      if (!queues[w].empty()) {
-        ++quota[w];
-        --leftover;
-      }
-    }
-  }
-
-  std::vector<WorkerTask> tasks(workers);
-  std::vector<std::function<void(ShardStats&)>> finishers(workers);
-  for (u32 w = 0; w < workers; ++w) {
-    tasks[w].cpu = w;
-    tasks[w].burst = burst;
-    tasks[w].warmup_packets = queues[w].empty() ? 0 : options_.warmup_packets;
-    tasks[w].measure_packets = quota[w];
-    tasks[w].queue = std::move(queues[w]);
-    if (factory) {
-      ShardProgram program = factory(w);
-      tasks[w].handler = std::move(program.handler);
-      finishers[w] = std::move(program.finish);
-    }
-    tasks[w].kill_point = "shard.kill." + std::to_string(w);
-  }
-
-  const auto wall_start = WallClock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (u32 w = 0; w < workers; ++w) {
-    threads.emplace_back([&tasks, w] { tasks[w].Run(); });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-
-  // ---- Failover -----------------------------------------------------------
-  // Workers whose kill point fired are drained: their unserved packet budget
-  // is replayed on the survivors' handlers, with the dead queues re-steered
-  // through a rebuilt RSS indirection table. The replay runs inside the wall
-  // window (failover time is part of the measurement) and its per-shard
-  // counts land on the absorbing survivors, so shard counts still sum
-  // exactly to measure_packets.
-  std::vector<bool> alive(workers, true);
-  std::vector<u32> failed_workers;
-  for (u32 w = 0; w < workers; ++w) {
-    if (tasks[w].failed) {
-      alive[w] = false;
-      failed_workers.push_back(w);
-      result.shards[w].failed = true;
-    }
-  }
-  result.failed_workers = static_cast<u32>(failed_workers.size());
-  if (!failed_workers.empty() &&
-      failed_workers.size() < static_cast<std::size_t>(workers)) {
-    std::vector<u32> indirection = BuildRssIndirection(workers);
-    // Load-aware rebuild: orphaned slots land on the survivors with the
-    // least queue depth, not round-robin by slot order.
-    std::vector<u64> depths(workers, 0);
-    for (u32 w = 0; w < workers; ++w) {
-      depths[w] = tasks[w].queue.size();
-    }
-    RebuildRssIndirection(indirection, alive, depths);
-
-    // Re-steer every dead queue's packets onto survivors and collect the
-    // unserved budget.
-    std::vector<Trace> requeues(workers);
-    u64 unserved = 0;
-    for (u32 f : failed_workers) {
-      unserved += tasks[f].measure_packets - tasks[f].stats.packets;
-      for (const Packet& packet : tasks[f].queue) {
-        requeues[RssQueueForPacketViaIndirection(packet, indirection,
-                                                 options_.rss_seed)]
-            .push_back(packet);
-      }
-    }
-    u64 requeue_depth = 0;
-    for (const Trace& q : requeues) {
-      requeue_depth += q.size();
-    }
-
-    if (unserved > 0 && requeue_depth > 0) {
-      // Same exact-split scheme as the primary quota: proportional to the
-      // re-steered depth, remainders made up round-robin.
-      std::vector<u64> quota2(workers, 0);
-      u64 assigned2 = 0;
-      for (u32 w = 0; w < workers; ++w) {
-        quota2[w] = unserved * requeues[w].size() / requeue_depth;
-        assigned2 += quota2[w];
-      }
-      for (u64 leftover = unserved - assigned2; leftover > 0;) {
-        for (u32 w = 0; w < workers && leftover > 0; ++w) {
-          if (!requeues[w].empty()) {
-            ++quota2[w];
-            --leftover;
-          }
-        }
-      }
-
-      std::vector<WorkerTask> replay(workers);
-      std::vector<std::thread> replay_threads;
-      for (u32 w = 0; w < workers; ++w) {
-        if (quota2[w] == 0) {
-          continue;
-        }
-        replay[w].cpu = w;
-        replay[w].burst = burst;
-        replay[w].warmup_packets = 0;  // survivor state is already warm
-        replay[w].measure_packets = quota2[w];
-        replay[w].queue = std::move(requeues[w]);
-        replay[w].handler = tasks[w].handler;  // survivor's own NF state
-        // kill_point left empty: one failover round per run.
-        replay_threads.emplace_back([&replay, w] { replay[w].Run(); });
-      }
-      for (std::thread& t : replay_threads) {
-        t.join();
-      }
-
-      for (u32 w = 0; w < workers; ++w) {
-        if (quota2[w] == 0) {
-          continue;
-        }
-        tasks[w].busy_seconds += replay[w].busy_seconds;
-        tasks[w].stats.packets += replay[w].stats.packets;
-        tasks[w].stats.dropped += replay[w].stats.dropped;
-        tasks[w].stats.passed += replay[w].stats.passed;
-        tasks[w].stats.aborted += replay[w].stats.aborted;
-        tasks[w].stats.degraded += replay[w].stats.packets;
-        result.failover_packets += replay[w].stats.packets;
-      }
-    }
-  }
-
-  result.wall_seconds = std::chrono::duration_cast<
-                            std::chrono::duration<double>>(WallClock::now() -
-                                                           wall_start)
-                            .count();
-
-  double busy_total = 0.0;
-  for (u32 w = 0; w < workers; ++w) {
-    ShardStats& shard = result.shards[w];
-    shard.queue_depth = tasks[w].queue.size();
-    shard.busy_seconds = tasks[w].busy_seconds;
-    shard.stats = tasks[w].stats;
-    // Recompute the per-shard rate over the merged (primary + failover)
-    // window; Run() computed it over the primary window only.
-    shard.stats.seconds = shard.busy_seconds;
-    if (shard.busy_seconds > 0.0 && shard.stats.packets > 0) {
-      shard.stats.pps =
-          static_cast<double>(shard.stats.packets) / shard.busy_seconds;
-      shard.stats.ns_per_packet = shard.busy_seconds * 1e9 /
-                                  static_cast<double>(shard.stats.packets);
-    }
-    result.total.packets += shard.stats.packets;
-    result.total.dropped += shard.stats.dropped;
-    result.total.passed += shard.stats.passed;
-    result.total.aborted += shard.stats.aborted;
-    result.total.degraded += shard.stats.degraded;
-    result.total.pps += shard.stats.pps;  // dedicated-core aggregate
-    busy_total += shard.busy_seconds;
-    result.makespan_seconds =
-        std::max(result.makespan_seconds, shard.busy_seconds);
-  }
-  result.total.seconds = result.wall_seconds;
-  if (result.total.packets > 0 && busy_total > 0.0) {
-    result.total.ns_per_packet =
-        busy_total * 1e9 / static_cast<double>(result.total.packets);
-  }
-  if (result.makespan_seconds > 0.0) {
-    result.offered_pps =
-        static_cast<double>(result.total.packets) / result.makespan_seconds;
-  }
-
-  for (u32 w = 0; w < workers; ++w) {
-    if (finishers[w]) {
-      finishers[w](result.shards[w]);
-    }
-  }
-  result.total_stages = MergeStageBreakdowns(result.shards);
-  return result;
 }
 
 }  // namespace pktgen

@@ -1,15 +1,21 @@
-// RSS-sharded multi-core measurement pipeline.
+// RSS-sharded multi-core measurement engine.
 //
 // Models the paper's strongest baselines' real-world deployment shape
 // (CuckooSwitch, Katran): the NIC steers each flow to one RX queue with a
 // receive-side-scaling hash over the 5-tuple, every queue is served by a
 // worker pinned to its own CPU, and each worker runs the burst datapath over
 // its queue. Flow affinity is a hard property — a flow's packets are only
-// ever processed on one worker, which is what keeps percpu map state
-// coherent without cross-CPU synchronization.
+// ever processed on one worker at a time, which is what keeps per-shard NF
+// state coherent without cross-CPU synchronization.
 //
-// Steering here is CRC32C over the packed 5-tuple modulo the worker count (a
-// symmetric stand-in for the NIC's Toeplitz hash + indirection table).
+// Steering is a hash of the 5-tuple (CRC32C plus a murmur3 finalizer) onto
+// one of kRssIndirectionSize indirection slots, and the slot's table entry
+// names the queue — the NIC's Toeplitz hash + indirection table. There is
+// one engine, MeasureScaleOut (scale_out.cc): the slot is its work unit.
+// With MigrationPolicy::enabled = false the table stays frozen unless a
+// worker dies, which is static RSS; with it on, a controller re-steers hot
+// slots at run time. A dying worker re-steers its slots to survivors either
+// way.
 //
 // Measurement model: the host may have fewer physical CPUs than simulated
 // workers (this harness often runs on a single shared vCPU), so per-shard
@@ -30,20 +36,12 @@
 
 namespace pktgen {
 
-// RSS steering decision for a 5-tuple: CRC32C(tuple) % num_queues.
-u32 RssQueueForTuple(const ebpf::FiveTuple& tuple, u32 num_queues, u32 seed);
-
-// Packet-level steering; packets that fail 5-tuple parsing land on queue 0
-// (real NICs steer non-IP traffic to a default queue).
-u32 RssQueueForPacket(const Packet& packet, u32 num_queues, u32 seed);
-
-// ---- RSS indirection table (failover re-steering) -------------------------
+// ---- RSS steering ----------------------------------------------------------
 //
-// Real NICs steer via hash -> indirection slot -> queue; shard failover is
-// the host rewriting the slots of a dead queue to point at survivors. The
-// sharded pipeline models that explicitly: the primary steering above is the
-// identity-indirection special case, and on a worker fault the failed
-// worker's unserved flows are re-steered through a rebuilt table.
+// Real NICs steer via hash -> indirection slot -> queue; re-steering (shard
+// failover, flow migration) is the host rewriting slots. The engine keeps
+// the table live (flow_migration.h LiveRssIndirection), and
+// ChooseLeastLoadedQueue places a dead queue's slots on survivors.
 
 // Indirection slot count (128 matches common NIC defaults, e.g. ixgbe).
 inline constexpr u32 kRssIndirectionSize = 128;
@@ -51,34 +49,10 @@ inline constexpr u32 kRssIndirectionSize = 128;
 // Fresh table mapping slot i -> i % num_queues (every queue alive).
 std::vector<u32> BuildRssIndirection(u32 num_queues);
 
-// Rewrites every slot pointing at a dead queue (alive[q] == false) to the
-// least-loaded surviving queue. A survivor's load starts at its own queue
-// depth (`queue_depths[q]`, packets already steered to it) and grows by one
-// estimated slot share per absorbed slot, so the orphaned load lands on the
-// queues with headroom instead of spreading blindly by slot order. Slots on
-// live queues are untouched (their flows keep their affinity). No-op when no
-// queue survives. Ties go to the lowest queue index (deterministic).
-void RebuildRssIndirection(std::vector<u32>& table,
-                           const std::vector<bool>& alive,
-                           const std::vector<u64>& queue_depths);
-
-// Depth-blind variant: every survivor starts at zero load, so the rebuild
-// degenerates to an even spread (one slot share each, round-robin order).
-void RebuildRssIndirection(std::vector<u32>& table,
-                           const std::vector<bool>& alive);
-
-// Steering through an indirection table: CRC32C(tuple) selects a slot, the
-// slot names the queue.
-u32 RssQueueViaIndirection(const ebpf::FiveTuple& tuple,
-                           const std::vector<u32>& table, u32 seed);
-
-// Packet-level variant; unparseable packets land on the queue in slot 0.
-u32 RssQueueForPacketViaIndirection(const Packet& packet,
-                                    const std::vector<u32>& table, u32 seed);
-
-// Indirection slot (not queue) a packet hashes to: CRC32C(tuple) % size.
-// Unparseable packets land on slot 0. The scale-out pipeline splits its
-// trace by slot — the slot is the migration unit (a flow-group).
+// Indirection slot (not queue) a packet hashes to: hash(tuple) % size.
+// Unparseable packets land on slot 0 (real NICs steer non-IP traffic to a
+// default queue). The engine splits its trace by slot — the slot is the
+// migration unit (a flow-group) — and steers slot s to table[s].
 u32 RssSlotForPacket(const Packet& packet, u32 table_size, u32 seed);
 
 // ---- Scale-out migration policy ------------------------------------------
@@ -86,7 +60,8 @@ u32 RssSlotForPacket(const Packet& packet, u32 table_size, u32 seed);
 // Obs-driven flow-migration controller configuration (MeasureScaleOut).
 struct MigrationPolicy {
   // Master switch: false runs the same slot-granular engine with the table
-  // frozen — the static-RSS oracle the differential tests compare against.
+  // frozen (static RSS) — what every static multi-core measurement uses,
+  // and the oracle the differential tests compare against.
   bool enabled = true;
   u32 window_us = 200;           // controller poll period
   u32 k_windows = 3;             // consecutive over-threshold windows to act
@@ -138,15 +113,15 @@ class ShardedPipeline {
     u64 queue_depth = 0;        // distinct trace packets steered to this queue
     double busy_seconds = 0.0;  // thread CPU time spent in the measured loop
     // Per-shard counts; pps/ns_per_packet are computed from busy_seconds
-    // (dedicated-core model), seconds == busy_seconds. For a survivor that
-    // absorbed failover load, stats.degraded counts the absorbed packets.
+    // (dedicated-core model), seconds == busy_seconds. stats.degraded counts
+    // the packets this shard served from slots a failed shard donated.
     ThroughputStats stats;
     // This worker tripped its "shard.kill.<cpu>" fault point mid-measurement
     // and was drained; its stats cover only the packets it served pre-fault.
     bool failed = false;
     // Filled by the shard program's finish hook, if it installed one.
     std::vector<StageBreakdown> stages;
-    // Scale-out runs only: flow-group (indirection-slot) churn on this shard.
+    // Flow-group (indirection-slot) churn on this shard.
     u32 slots_initial = 0;  // slots owned at the start barrier
     u32 slots_adopted = 0;  // slots adopted from handoff descriptors
     u32 slots_donated = 0;  // slots donated away (migration or death)
@@ -161,9 +136,8 @@ class ShardedPipeline {
     ThroughputStats total;
     std::vector<ShardStats> shards;
     double wall_seconds = 0.0;
-    // Failover summary: workers that tripped a kill fault, and the unserved
-    // packet budget replayed onto survivors via the rebuilt indirection.
-    // If every worker fails (or a failed worker's queue cannot be re-steered)
+    // Failover summary: workers that tripped a kill fault, and the packets
+    // survivors served from the slots they donated. If every worker fails
     // the unserved budget is dropped and total.packets < measure_packets.
     u32 failed_workers = 0;
     u64 failover_packets = 0;
@@ -178,23 +152,22 @@ class ShardedPipeline {
     // shard programs keep their counters attributed to the right stage even
     // when stage positions differ between shards).
     std::vector<StageBreakdown> total_stages;
-    // Scale-out runs only; zeroed by MeasureThroughput.
+    // Controller and handoff counters (all zero but `windows` on a static,
+    // fault-free run).
     MigrationStats migration;
   };
 
-  // Invoked once per worker on the calling thread before the workers start;
-  // the returned burst handler is owned by the pipeline for the run and
-  // invoked only from that worker's thread. Build per-worker NF state here
-  // (the RSS model: each core owns its queue, replica, or percpu shard) —
-  // sharing one non-thread-safe NF across workers is a data race.
   using BurstHandler =
       std::function<void(ebpf::XdpContext*, u32, ebpf::XdpAction*)>;
-  using HandlerFactory = std::function<BurstHandler(u32 cpu)>;
 
   // A shard program: the burst handler plus an optional finish hook, invoked
-  // on the coordinating thread after the shard's measurement (including any
-  // failover replay) completes. Multi-stage programs export their per-stage
-  // counters into the shard's StageBreakdown there.
+  // on the coordinating thread after every worker has joined. Multi-stage
+  // programs export their per-stage counters into the shard's StageBreakdown
+  // there. The factory runs once per worker on the calling thread before the
+  // workers start; the handler is invoked only from that worker's thread.
+  // Build per-worker NF state there (the RSS model: each core owns its
+  // replica or percpu shard) — sharing one non-thread-safe NF across workers
+  // is a data race.
   struct ShardProgram {
     BurstHandler handler;
     std::function<void(ShardStats&)> finish;
@@ -204,47 +177,32 @@ class ShardedPipeline {
   ShardedPipeline() : options_{} {}
   explicit ShardedPipeline(const Options& options);
 
-  // Steers the trace across the workers, replays each queue through its
-  // worker's handler, and merges per-CPU stats. Each worker measures
-  // measure_packets * (its queue depth / trace size) packets, so the
-  // offered-load split matches the flow split and the per-shard counts sum
-  // exactly to measure_packets.
-  //
-  // Failover: every worker probes its "shard.kill.<cpu>" fault point once
-  // per measured burst; a worker whose point fires stops serving, and after
-  // the join its unserved budget is replayed on the surviving workers'
-  // handlers with its queue re-steered through a rebuilt RSS indirection
-  // table. One failover round — the replay does not probe kill points
-  // (arming a second fault would need a second rebuild, which real NICs do,
-  // but one round is enough to measure the degradation cost).
-  Result MeasureThroughput(const HandlerFactory& factory,
-                           const Trace& trace) const;
-
-  // Program-factory variant; the plain HandlerFactory overload forwards here
-  // with no finish hooks.
-  Result MeasureThroughput(const ProgramFactory& factory,
-                           const Trace& trace) const;
-
-  // Skew-resilient scale-out engine (src/pktgen/scale_out.cc). Differences
-  // from MeasureThroughput:
-  //  * the work unit is the RSS indirection slot (flow-group), not the whole
-  //    queue: the trace is pre-split into 128 per-slot sub-traces with the
-  //    packet budget divided proportionally to slot depth;
-  //  * slot ownership is a live indirection table (flow_migration.h); an
-  //    obs-driven controller watches the per-shard "shard/<cpu>" latency
-  //    histograms plus per-slot backlog and re-steers the hottest shard's
-  //    slots to the coldest after `policy.k_windows` consecutive windows
-  //    over `policy.skew_threshold`;
+  // Steers the trace across the workers by indirection slot and replays
+  // each owned slot's sub-trace through its worker's handler, then merges
+  // per-CPU stats (src/pktgen/scale_out.cc):
+  //  * the trace is pre-split into 128 per-slot sub-traces and the
+  //    measure_packets budget is divided proportionally to slot depth, so
+  //    offered load follows the flow split and the per-shard counts sum
+  //    exactly to measure_packets;
+  //  * slot ownership is a live indirection table (flow_migration.h). With
+  //    `policy.enabled`, an obs-driven controller watches the per-shard
+  //    "shard/<cpu>" latency histograms plus per-slot backlog and re-steers
+  //    the hottest shard's slots to the coldest after `policy.k_windows`
+  //    consecutive windows over `policy.skew_threshold`;
   //  * re-steered slot state moves through per-shard MPSC handoff rings at
   //    burst boundaries (handoff_ring.h) — per-flow order is preserved
-  //    across every re-steer, and a dying worker ("shard.kill.<cpu>", same
-  //    fault points as MeasureThroughput) donates its slots the same way,
-  //    so migration and failover compose;
+  //    across every re-steer;
+  //  * failover: every worker probes its "shard.kill.<cpu>" fault point once
+  //    per burst; a worker whose point fires donates its slots to the
+  //    least-loaded survivors the same way, so migration and failover
+  //    compose, and survivors count the packets they serve from those slots
+  //    as degraded;
   //  * each worker binds its own SlabArena for all datapath bookkeeping
   //    (slot run-lists), so no allocation crosses a shard boundary.
   //
-  // `policy.enabled = false` freezes the table: the engine then IS the
-  // static-RSS semantics, which the differential tests use as the oracle.
+  // `policy.enabled = false` freezes the table (except for failover): the
+  // engine then IS static RSS, which the differential tests use as the
+  // oracle.
   Result MeasureScaleOut(const ProgramFactory& factory, const Trace& trace,
                          const MigrationPolicy& policy) const;
 
@@ -256,8 +214,8 @@ class ShardedPipeline {
 
 // Aggregates per-shard stage breakdowns by stage NAME, preserving first-seen
 // order. Merging by name (not index) keeps counters correctly attributed
-// when shard programs are heterogeneous — e.g. a survivor replaying a dead
-// shard's budget through a chain with different stage positions.
+// when shard programs are heterogeneous — e.g. shards running chains whose
+// stage positions differ.
 std::vector<ShardedPipeline::StageBreakdown> MergeStageBreakdowns(
     const std::vector<ShardedPipeline::ShardStats>& shards);
 

@@ -250,12 +250,12 @@ TEST(ShardedChainFactory, EveryShardExportsItsStageBreakdown) {
   const pktgen::Trace trace =
       pktgen::MakeUniformTrace(Env().flows, 4096, 91);
 
-  const auto result = pipeline.MeasureThroughput(
+  const auto result = pipeline.MeasureScaleOut(
       ShardedChainFactory([](u32) {
         return std::shared_ptr<ChainExecutor>(
             MakeBenchChain(StageNames(2), Variant::kEnetstl, Env()));
       }),
-      trace);
+      trace, {.enabled = false});  // static RSS
 
   ASSERT_EQ(result.shards.size(), 2u);
   ebpf::u64 total_in = 0;

@@ -35,7 +35,12 @@ using enetstl::FaultInjector;
 TEST(HandoffRing, RoundTripsOneDescriptor) {
   HandoffRing ring(1 << 14);
   EXPECT_FALSE(ring.HasPending());
-  const SlotHandoff out{17, 2, 1234, 56, 9};
+  const SlotHandoff out{.slot = 17,
+                        .donor = 2,
+                        .failover = true,
+                        .cursor = 1234,
+                        .remaining = 56,
+                        .generation = 9};
   ASSERT_TRUE(ring.Donate(out));
   EXPECT_TRUE(ring.HasPending());
   std::vector<SlotHandoff> got;
@@ -44,6 +49,7 @@ TEST(HandoffRing, RoundTripsOneDescriptor) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].slot, 17u);
   EXPECT_EQ(got[0].donor, 2u);
+  EXPECT_TRUE(got[0].failover);
   EXPECT_EQ(got[0].cursor, 1234u);
   EXPECT_EQ(got[0].remaining, 56u);
   EXPECT_EQ(got[0].generation, 9u);
@@ -54,8 +60,8 @@ TEST(HandoffRing, RoundTripsOneDescriptor) {
 TEST(HandoffRing, FullRingRejectsWithoutLosingDeliveredDescriptors) {
   HandoffRing ring(4096);  // kMinSize: fills after a few dozen descriptors
   u64 accepted = 0;
-  while (ring.Donate(SlotHandoff{static_cast<u32>(accepted), 0, 0,
-                                 accepted + 1, 0})) {
+  while (ring.Donate(SlotHandoff{.slot = static_cast<u32>(accepted),
+                                 .remaining = accepted + 1})) {
     ++accepted;
     ASSERT_LT(accepted, 4096u);  // must fill eventually
   }
@@ -70,7 +76,8 @@ TEST(HandoffRing, FullRingRejectsWithoutLosingDeliveredDescriptors) {
   });
   EXPECT_EQ(seen, accepted);
   // Space is reclaimed: the ring accepts again after the drain.
-  EXPECT_TRUE(ring.Donate(SlotHandoff{1, 1, 1, 1, 1}));
+  EXPECT_TRUE(ring.Donate(SlotHandoff{
+      .slot = 1, .donor = 1, .cursor = 1, .remaining = 1, .generation = 1}));
 }
 
 TEST(HandoffRing, MpscDeliversExactlyOnceUnderContention) {
@@ -103,7 +110,10 @@ TEST(HandoffRing, MpscDeliversExactlyOnceUnderContention) {
   for (u32 p = 0; p < kProducers; ++p) {
     producers.emplace_back([&ring, p] {
       for (u32 i = 0; i < kPerProducer; ++i) {
-        const SlotHandoff h{p % 128u, p, i, 1, 0};
+        const SlotHandoff h{.slot = p % 128u,
+                            .donor = static_cast<u16>(p),
+                            .cursor = i,
+                            .remaining = 1};
         while (!ring.Donate(h)) {
           std::this_thread::yield();  // full: retry, never drop
         }
@@ -559,6 +569,15 @@ TEST_F(ScaleOutMigration, SeededKillComposesWithMigrationAtZeroLoss) {
   EXPECT_EQ(result.total.passed, opts.measure_packets);
   EXPECT_GE(result.migration.failover_donations, 1u);
   EXPECT_GT(result.failover_packets, 0u);
+  // Packets served from donated flow-groups are surfaced as degraded on the
+  // absorbing shards, and balance the failover budget exactly.
+  u64 degraded = 0;
+  for (const auto& shard : result.shards) {
+    degraded += shard.stats.degraded;
+  }
+  EXPECT_EQ(result.shards[1].stats.degraded, 0u);
+  EXPECT_EQ(degraded, result.failover_packets);
+  EXPECT_EQ(result.total.degraded, result.failover_packets);
 }
 
 TEST_F(ScaleOutMigration, AllWorkersDeadDropsTheResidualBudgetAndTerminates) {

@@ -1,8 +1,8 @@
-// Shard-failover tests: RSS indirection rebuild, exact accounting when a
-// worker dies mid-measurement, and the end-to-end acceptance run — a
-// million-packet sharded measurement over pre-populated cuckoo switches with
-// a seeded worker kill, finishing with exact counters and every pre-fault
-// key still resolvable.
+// Shard-failover tests: RSS steering and the least-loaded failover
+// placement, exact accounting when a worker dies mid-measurement of a static
+// RSS run, and the end-to-end acceptance run — a million-packet sharded
+// measurement over pre-populated cuckoo switches with a seeded worker kill,
+// finishing with exact counters and every pre-fault key still resolvable.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +10,7 @@
 
 #include "core/fault_injector.h"
 #include "nf/cuckoo_switch.h"
+#include "pktgen/flow_migration.h"
 #include "pktgen/flowgen.h"
 #include "pktgen/sharded_pipeline.h"
 
@@ -18,12 +19,28 @@ namespace {
 
 using enetstl::FaultInjector;
 
+// Static RSS: the indirection table moves only when a worker dies.
+constexpr MigrationPolicy kStaticRss{.enabled = false};
+
 // The injector is process-global and gtest runs every test in one process:
 // each test starts and ends disarmed.
 class ShardFailover : public ::testing::Test {
  protected:
   void SetUp() override { FaultInjector::Global().Reset(); }
   void TearDown() override { FaultInjector::Global().Reset(); }
+
+  static ShardedPipeline::ProgramFactory VerdictFactory(
+      ebpf::XdpAction verdict) {
+    return [verdict](u32) -> ShardedPipeline::ShardProgram {
+      return {[verdict](ebpf::XdpContext*, u32 count,
+                        ebpf::XdpAction* verdicts) {
+                for (u32 i = 0; i < count; ++i) {
+                  verdicts[i] = verdict;
+                }
+              },
+              nullptr};
+    };
+  }
 };
 
 TEST(RssIndirection, BuildIsRoundRobinOverQueues) {
@@ -41,101 +58,99 @@ TEST(RssIndirection, BuildIsRoundRobinOverQueues) {
   }
 }
 
-TEST(RssIndirection, RebuildReplacesOnlyDeadSlots) {
-  auto table = BuildRssIndirection(4);
-  const auto before = table;
-  RebuildRssIndirection(table, {true, false, true, true});
-  u32 reassigned[4] = {0, 0, 0, 0};
-  for (u32 i = 0; i < kRssIndirectionSize; ++i) {
-    EXPECT_NE(table[i], 1u);  // no slot points at the dead queue
-    if (before[i] != 1u) {
-      EXPECT_EQ(table[i], before[i]);  // live flows keep their affinity
-    } else {
-      ASSERT_LT(table[i], 4u);
-      ++reassigned[table[i]];
-    }
+TEST(RssIndirection, LeastLoadedQueueWins) {
+  // Queue 1 is dead: its zero load must not attract anything.
+  EXPECT_EQ(ChooseLeastLoadedQueue({true, false, true, true},
+                                   {1000, 0, 10, 500}),
+            2u);
+  EXPECT_EQ(ChooseLeastLoadedQueue({true, true, true}, {30, 20, 10}), 2u);
+}
+
+TEST(RssIndirection, LeastLoadedQueueTiesGoToTheLowestIndex) {
+  EXPECT_EQ(ChooseLeastLoadedQueue({true, true, true, true}, {5, 5, 5, 5}),
+            0u);
+  EXPECT_EQ(ChooseLeastLoadedQueue({false, true, true, true}, {0, 7, 7, 9}),
+            1u);
+  // Missing load entries count as zero load.
+  EXPECT_EQ(ChooseLeastLoadedQueue({true, true, true}, {}), 0u);
+  EXPECT_EQ(ChooseLeastLoadedQueue({true, true, true}, {4}), 1u);
+}
+
+// The engine's failover placement: each orphaned slot goes to the
+// least-loaded survivor, whose load then grows by the slot's share.
+std::vector<u32> PlaceOrphans(const std::vector<bool>& alive,
+                              std::vector<u64> load, u32 orphans, u64 share) {
+  std::vector<u32> placed(alive.size(), 0);
+  load.resize(alive.size(), 0);
+  for (u32 i = 0; i < orphans; ++i) {
+    const u32 q = ChooseLeastLoadedQueue(alive, load);
+    EXPECT_LT(q, alive.size());
+    ++placed[q];
+    load[q] += share;
   }
-  // 32 orphaned slots spread round-robin over 3 survivors: 11/11/10.
-  EXPECT_EQ(reassigned[0] + reassigned[2] + reassigned[3],
-            kRssIndirectionSize / 4);
-  EXPECT_GE(reassigned[0], 10u);
-  EXPECT_GE(reassigned[2], 10u);
-  EXPECT_GE(reassigned[3], 10u);
+  return placed;
 }
 
-TEST(RssIndirection, RebuildWithNoSurvivorsIsANoOp) {
-  auto table = BuildRssIndirection(2);
-  const auto before = table;
-  RebuildRssIndirection(table, {false, false});
-  EXPECT_EQ(table, before);
+TEST(RssIndirection, LeastLoadedQueueSpillsOverOnceItFillsUp) {
+  // Queue 1 dies with 32 slots. Queue 2 starts below queue 3 but absorbs
+  // slot shares until it crosses it, after which the remaining orphans
+  // alternate between the two. Queue 0 is far too loaded to ever absorb
+  // anything.
+  const auto placed =
+      PlaceOrphans({true, false, true, true}, {1000, 200, 10, 60}, 32, 10);
+  EXPECT_EQ(placed[0], 0u);
+  EXPECT_EQ(placed[1], 0u);
+  EXPECT_GT(placed[2], 0u);
+  EXPECT_GT(placed[3], 0u);
+  EXPECT_GT(placed[2], placed[3]);  // it started lighter
+  EXPECT_EQ(placed[2] + placed[3], 32u);
+  // Equal starting loads spread the orphans evenly: 11/11/10.
+  const auto even = PlaceOrphans({true, false, true, true}, {}, 32, 1);
+  EXPECT_EQ(even[0], 11u);
+  EXPECT_EQ(even[1], 0u);
+  EXPECT_EQ(even[2], 11u);
+  EXPECT_EQ(even[3], 10u);
 }
 
-TEST(RssIndirection, RebuildSendsOrphansToTheLeastLoadedSurvivor) {
-  auto table = BuildRssIndirection(4);
-  const auto before = table;
-  // Queue 1 dies. Queue 2 is nearly idle; 0 and 3 carry real backlog. The
-  // orphaned load share (1710/128 = 13 per slot, 32 slots = 416 packets)
-  // never catches up with queue 3's 500, so every orphan lands on queue 2.
-  RebuildRssIndirection(table, {true, false, true, true},
-                        {1000, 200, 10, 500});
-  for (u32 i = 0; i < kRssIndirectionSize; ++i) {
-    if (before[i] == 1u) {
-      EXPECT_EQ(table[i], 2u) << "slot " << i;
-    } else {
-      EXPECT_EQ(table[i], before[i]) << "slot " << i;
-    }
-  }
+TEST(RssIndirection, LeastLoadedQueueSingleSurvivorAbsorbsEverything) {
+  const auto placed =
+      PlaceOrphans({false, false, true, false}, {500, 400, 100, 300}, 96, 13);
+  EXPECT_EQ(placed[2], 96u);
 }
 
-TEST(RssIndirection, RebuildSpillsOverWhenTheLeastLoadedFillsUp) {
-  auto table = BuildRssIndirection(4);
-  const auto before = table;
-  // Queue 2 starts below queue 3 but absorbs slot shares until it crosses
-  // it, after which the remaining orphans alternate between the two. Queue 0
-  // is far too loaded to ever absorb anything.
-  RebuildRssIndirection(table, {true, false, true, true}, {1000, 200, 10, 60});
-  u32 reassigned[4] = {0, 0, 0, 0};
-  for (u32 i = 0; i < kRssIndirectionSize; ++i) {
-    if (before[i] == 1u) {
-      ++reassigned[table[i]];
-    } else {
-      EXPECT_EQ(table[i], before[i]);
-    }
-  }
-  EXPECT_EQ(reassigned[0], 0u);
-  EXPECT_EQ(reassigned[1], 0u);
-  EXPECT_GT(reassigned[2], 0u);
-  EXPECT_GT(reassigned[3], 0u);
-  EXPECT_GT(reassigned[2], reassigned[3]);  // it started lighter
-  EXPECT_EQ(reassigned[2] + reassigned[3], kRssIndirectionSize / 4);
-}
-
-TEST(RssIndirection, RebuildWithDepthsAndNoSurvivorsIsANoOp) {
-  auto table = BuildRssIndirection(4);
-  const auto before = table;
-  RebuildRssIndirection(table, {false, false, false, false},
-                        {100, 200, 300, 400});
-  EXPECT_EQ(table, before);
-}
-
-TEST(RssIndirection, RebuildSingleSurvivorAbsorbsEverything) {
-  auto table = BuildRssIndirection(4);
-  RebuildRssIndirection(table, {false, false, true, false},
-                        {500, 400, 100, 300});
-  for (const u32 q : table) {
-    EXPECT_EQ(q, 2u);
-  }
+TEST(RssIndirection, LeastLoadedQueueWithNoSurvivorReturnsAliveSize) {
+  EXPECT_EQ(ChooseLeastLoadedQueue({false, false}, {}), 2u);
+  EXPECT_EQ(ChooseLeastLoadedQueue({false, false, false, false},
+                                   {100, 200, 300, 400}),
+            4u);
+  EXPECT_EQ(ChooseLeastLoadedQueue({}, {}), 0u);
 }
 
 TEST(RssIndirection, SteeringFollowsTheTable) {
   const auto flows = MakeFlowPopulation(256, 31);
-  auto table = BuildRssIndirection(4);
-  RebuildRssIndirection(table, {true, true, false, true});
-  for (const auto& flow : flows) {
-    const u32 q = RssQueueViaIndirection(flow, table, 7);
+  const auto trace = MakeUniformTrace(flows, 1024, 32);
+  const auto initial = BuildRssIndirection(4);
+  LiveRssIndirection table(initial);
+  // Queue 2 dies: its slots are re-steered the way a dying worker does it.
+  const std::vector<bool> alive = {true, true, false, true};
+  std::vector<u64> load(4, 0);
+  for (u32 s = 0; s < kRssIndirectionSize; ++s) {
+    if (table.Owner(s) == 2u) {
+      const u32 q = ChooseLeastLoadedQueue(alive, load);
+      ASSERT_TRUE(table.Resteer(s, 2, q));
+      ++load[q];
+    }
+  }
+  for (const auto& packet : trace) {
+    const u32 slot = RssSlotForPacket(packet, kRssIndirectionSize, 7);
+    const u32 q = table.Owner(slot);
     EXPECT_LT(q, 4u);
-    EXPECT_NE(q, 2u);  // dead queue is unreachable after the rebuild
-    EXPECT_EQ(q, RssQueueViaIndirection(flow, table, 7));  // deterministic
+    EXPECT_NE(q, 2u);  // dead queue is unreachable after the re-steer
+    EXPECT_EQ(q, table.Owner(RssSlotForPacket(packet, kRssIndirectionSize,
+                                              7)));  // deterministic
+    if (initial[slot] != 2u) {
+      EXPECT_EQ(q, initial[slot]);  // live flows keep their affinity
+    }
   }
 }
 
@@ -143,9 +158,9 @@ TEST(RssIndirection, UnparseablePacketLandsOnTheSlotZeroQueue) {
   Packet junk{};  // all-zero frame: no EtherType, 5-tuple parse fails
   std::vector<u32> table(kRssIndirectionSize, 3);
   table[0] = 7;
-  EXPECT_EQ(RssQueueForPacketViaIndirection(junk, table, 9), 7u);
-  EXPECT_EQ(RssQueueForPacketViaIndirection(junk, {}, 9), 0u);
+  EXPECT_EQ(table[RssSlotForPacket(junk, kRssIndirectionSize, 9)], 7u);
   EXPECT_EQ(RssSlotForPacket(junk, kRssIndirectionSize, 9), 0u);
+  EXPECT_EQ(RssSlotForPacket(junk, 5, 9), 0u);
 }
 
 TEST(RssIndirection, NonDividingTableSizesStayInRangeAndDeterministic) {
@@ -161,19 +176,16 @@ TEST(RssIndirection, NonDividingTableSizesStayInRangeAndDeterministic) {
       table[i] = i % 4u;
     }
     u32 hits[4] = {0, 0, 0, 0};
-    for (const auto& flow : flows) {
-      const u32 q = RssQueueViaIndirection(flow, table, 7);
-      ASSERT_LT(q, 4u);
-      EXPECT_EQ(q, RssQueueViaIndirection(flow, table, 7));
-      ++hits[q];
+    for (const auto& packet : trace) {
+      const u32 slot = RssSlotForPacket(packet, size, 7);
+      ASSERT_LT(slot, size);
+      EXPECT_EQ(slot, RssSlotForPacket(packet, size, 7));
+      ++hits[table[slot]];
     }
     if (size >= 96u) {
       for (const u32 h : hits) {
         EXPECT_GT(h, 0u) << "table size " << size;
       }
-    }
-    for (const auto& packet : trace) {
-      ASSERT_LT(RssSlotForPacket(packet, size, 7), size);
     }
   }
   // Degenerate sizes collapse to slot 0.
@@ -182,15 +194,16 @@ TEST(RssIndirection, NonDividingTableSizesStayInRangeAndDeterministic) {
 }
 
 TEST(RssIndirection, SlotAndQueueSteeringAgree) {
-  // The scale-out engine splits its trace with RssSlotForPacket and then
-  // steers by table[slot]; both must name the same queue the packet-level
-  // steering helper does.
+  // The engine splits its trace with RssSlotForPacket and steers slot s to
+  // table[s]; the initial table is round-robin, so a packet's queue is its
+  // slot modulo the queue count — the identity static-RSS load predictions
+  // rely on.
   const auto flows = MakeFlowPopulation(256, 63);
   const auto trace = MakeUniformTrace(flows, 512, 64);
   const auto table = BuildRssIndirection(5);
   for (const auto& packet : trace) {
     const u32 slot = RssSlotForPacket(packet, kRssIndirectionSize, 11);
-    EXPECT_EQ(RssQueueForPacketViaIndirection(packet, table, 11), table[slot]);
+    EXPECT_EQ(table[slot], slot % 5u);
   }
 }
 
@@ -199,12 +212,13 @@ TEST(RssIndirection, SeedChangesTheSteering) {
   const auto table = BuildRssIndirection(8);
   u32 moved = 0;
   for (const auto& flow : flows) {
-    if (RssQueueViaIndirection(flow, table, 7) !=
-        RssQueueViaIndirection(flow, table, 8)) {
+    const Packet packet = Packet::FromTuple(flow);
+    if (table[RssSlotForPacket(packet, kRssIndirectionSize, 7)] !=
+        table[RssSlotForPacket(packet, kRssIndirectionSize, 8)]) {
       ++moved;
     }
   }
-  // CRC seed sensitivity: a different seed re-shuffles a healthy fraction of
+  // Seed sensitivity: a different seed re-shuffles a healthy fraction of
   // the flows (exact count is hash-dependent; zero would mean the seed is
   // dead weight).
   EXPECT_GT(moved, 64u);
@@ -223,15 +237,8 @@ TEST_F(ShardFailover, KilledWorkerIsDrainedWithExactAccounting) {
   // Worker 1 dies on its 6th measured burst.
   FaultInjector::Global().ArmOneShot("shard.kill.1", 5);
 
-  const auto result = pipeline.MeasureThroughput(
-      [](u32) -> ShardedPipeline::BurstHandler {
-        return [](ebpf::XdpContext*, u32 count, ebpf::XdpAction* verdicts) {
-          for (u32 i = 0; i < count; ++i) {
-            verdicts[i] = ebpf::XdpAction::kPass;
-          }
-        };
-      },
-      trace);
+  const auto result = pipeline.MeasureScaleOut(
+      VerdictFactory(ebpf::XdpAction::kPass), trace, kStaticRss);
 
   EXPECT_EQ(result.failed_workers, 1u);
   ASSERT_EQ(result.shards.size(), 3u);
@@ -243,9 +250,9 @@ TEST_F(ShardFailover, KilledWorkerIsDrainedWithExactAccounting) {
   EXPECT_EQ(result.shards[1].stats.packets, 5u * 16u);
   EXPECT_EQ(result.shards[1].stats.degraded, 0u);
 
-  // Its unserved budget was replayed on the survivors: the shard counts
-  // still sum exactly to measure_packets, and the absorbed packets are
-  // surfaced as degraded on the absorbing shards.
+  // Its unserved budget was served by the survivors it donated its slots
+  // to: the shard counts still sum exactly to measure_packets, and the
+  // absorbed packets are surfaced as degraded on the absorbing shards.
   u64 packets = 0, degraded = 0, verdicts_total = 0;
   for (const auto& shard : result.shards) {
     packets += shard.stats.packets;
@@ -259,7 +266,7 @@ TEST_F(ShardFailover, KilledWorkerIsDrainedWithExactAccounting) {
   EXPECT_GT(result.failover_packets, 0u);
   EXPECT_EQ(degraded, result.failover_packets);
   EXPECT_EQ(result.total.degraded, result.failover_packets);
-  // The replayed budget is exactly what the dead worker left unserved.
+  // The absorbed budget is exactly what the dead worker left unserved.
   u64 primary_served = 0;
   for (const auto& shard : result.shards) {
     primary_served += shard.stats.packets - shard.stats.degraded;
@@ -275,15 +282,8 @@ TEST_F(ShardFailover, NoFaultMeansNoFailover) {
   opts.burst_size = 16;
   opts.warmup_packets = 0;
   opts.measure_packets = 10'000;
-  const auto result = ShardedPipeline(opts).MeasureThroughput(
-      [](u32) -> ShardedPipeline::BurstHandler {
-        return [](ebpf::XdpContext*, u32 count, ebpf::XdpAction* verdicts) {
-          for (u32 i = 0; i < count; ++i) {
-            verdicts[i] = ebpf::XdpAction::kDrop;
-          }
-        };
-      },
-      trace);
+  const auto result = ShardedPipeline(opts).MeasureScaleOut(
+      VerdictFactory(ebpf::XdpAction::kDrop), trace, kStaticRss);
   EXPECT_EQ(result.failed_workers, 0u);
   EXPECT_EQ(result.failover_packets, 0u);
   EXPECT_EQ(result.total.degraded, 0u);
@@ -302,15 +302,8 @@ TEST_F(ShardFailover, AllWorkersDeadDropsTheUnservedBudget) {
   opts.warmup_packets = 0;
   opts.measure_packets = 1'000;
   FaultInjector::Global().ArmOneShot("shard.kill.0", 0);  // dies immediately
-  const auto result = ShardedPipeline(opts).MeasureThroughput(
-      [](u32) -> ShardedPipeline::BurstHandler {
-        return [](ebpf::XdpContext*, u32 count, ebpf::XdpAction* verdicts) {
-          for (u32 i = 0; i < count; ++i) {
-            verdicts[i] = ebpf::XdpAction::kPass;
-          }
-        };
-      },
-      trace);
+  const auto result = ShardedPipeline(opts).MeasureScaleOut(
+      VerdictFactory(ebpf::XdpAction::kPass), trace, kStaticRss);
   EXPECT_EQ(result.failed_workers, 1u);
   EXPECT_EQ(result.failover_packets, 0u);  // nobody left to fail over to
   EXPECT_EQ(result.total.packets, 0u);     // honest shortfall, no crash
@@ -348,15 +341,16 @@ TEST_F(ShardFailover, MillionPacketRunSurvivesSeededWorkerKill) {
   // Worker 2 dies partway through its measured window.
   FaultInjector::Global().ArmOneShot("shard.kill.2", 100);
 
-  const auto result = pipeline.MeasureThroughput(
-      [&replicas](u32 cpu) -> ShardedPipeline::BurstHandler {
+  const auto result = pipeline.MeasureScaleOut(
+      [&replicas](u32 cpu) -> ShardedPipeline::ShardProgram {
         nf::CuckooSwitchKernel* nf = replicas[cpu].get();
-        return [nf](ebpf::XdpContext* ctxs, u32 count,
-                    ebpf::XdpAction* verdicts) {
-          nf->ProcessBurst(ctxs, count, verdicts);
-        };
+        return {[nf](ebpf::XdpContext* ctxs, u32 count,
+                     ebpf::XdpAction* verdicts) {
+                  nf->ProcessBurst(ctxs, count, verdicts);
+                },
+                nullptr};
       },
-      trace);
+      trace, kStaticRss);
 
   // Exact accounting end to end: the kill cost zero packets.
   EXPECT_EQ(result.failed_workers, 1u);
