@@ -1,18 +1,18 @@
 // Service-chain sweep: ChainExecutor throughput versus chain length (1..8
-// stages) for all three variants, the fused (hot-chain specialized) eNetSTL
-// path, plus the RSS-sharded chain deployment.
+// stages) for all three variants, plus the RSS-sharded chain deployment.
+// Every variant column runs the chain's one burst executor, the fused
+// program Load() folds; the columns differ only in the stages' variant.
 //
 // Stages alternate the two membership NFs (cuckoo-filter, vbf-membership)
 // and the trace draws uniformly from flows resident in both, so nearly every
 // packet is PASS at every stage and traverses the whole chain — the sweep
-// measures the cost of chain depth (tail-call walk, per-stage verdict
-// partition/regroup), not early-exit shortcuts. `--stages=a,b,c` benches an
-// arbitrary registry-named chain instead of the default alternating sweep.
+// measures the cost of chain depth, not early-exit shortcuts.
+// `--stages=a,b,c` benches an arbitrary registry-named chain instead of the
+// default alternating sweep.
 //
 // Before measuring, every (length, variant) point re-checks the chain
-// invariant on live traffic: burst-path verdicts — generic AND fused — must
-// be bit-identical to per-packet scalar traversal. A mismatch exits
-// non-zero.
+// invariant on live traffic: burst-path verdicts must be bit-identical to
+// per-packet scalar traversal. A mismatch exits non-zero.
 #include <cstring>
 #include <memory>
 #include <string>
@@ -107,26 +107,16 @@ pktgen::Trace MakeChainTrace(const nf::BenchEnv& env) {
 }
 
 // Scalar-vs-burst equivalence on deterministic twin chains; returns false
-// (and reports) on any verdict mismatch. With `fused` the burst twin runs
-// the promoted single-pass executor, so the check pins fused verdicts to
-// the scalar tail-call oracle.
+// (and reports) on any verdict mismatch.
 bool CheckChainInvariant(const std::vector<std::string>& stages,
                          nf::Variant variant, const nf::BenchEnv& env,
-                         const pktgen::Trace& trace, bool fused = false) {
+                         const pktgen::Trace& trace) {
   auto scalar_chain = nf::MakeBenchChain(stages, variant, env, "chain");
   auto burst_chain = nf::MakeBenchChain(stages, variant, env, "chain");
   if (!scalar_chain || !burst_chain) {
     std::fprintf(stderr, "chain construction failed (depth %zu, %s)\n",
                  stages.size(), std::string(nf::VariantName(variant)).c_str());
     return false;
-  }
-  if (fused) {
-    burst_chain->EnableFusion();
-    if (!burst_chain->TryPromoteNow()) {
-      std::fprintf(stderr, "fused promotion failed (depth %zu)\n",
-                   stages.size());
-      return false;
-    }
   }
   constexpr u32 kPackets = 4096;
   constexpr u32 kBurst = 32;
@@ -161,7 +151,7 @@ bool CheckChainInvariant(const std::vector<std::string>& stages,
 }
 
 void PrintStageBreakdown(const nf::ChainExecutor& chain) {
-  for (const nf::ChainStageStats& s : chain.stage_stats()) {
+  for (const pktgen::StageStats& s : chain.stage_stats()) {
     const double share =
         s.in > 0 ? static_cast<double>(s.ns) / static_cast<double>(s.in) : 0.0;
     std::printf(
@@ -234,35 +224,6 @@ int main(int argc, char** argv) {
     }
     bench::PrintSweepRow(param, mpps[0], mpps[1], mpps[2]);
     acc.Add(mpps[0], mpps[1], mpps[2]);
-
-    // Fused (hot-chain specialized) eNetSTL path: invariant-checked against
-    // the scalar oracle, then measured with obs-driven promotion — fusion is
-    // armed and the chain promotes itself during warmup traffic.
-    if (!ChainSupports(stages, nf::Variant::kEnetstl)) {
-      continue;
-    }
-    if (!CheckChainInvariant(stages, nf::Variant::kEnetstl, env, trace,
-                             /*fused=*/true)) {
-      return 1;
-    }
-    auto fchain =
-        nf::MakeBenchChain(stages, nf::Variant::kEnetstl, env, "chain");
-    if (!fchain) {
-      std::fprintf(stderr, "chain construction failed (%s)\n", param.c_str());
-      return 1;
-    }
-    fchain->EnableFusion();
-    const double fused_mpps = bench::MeasureBurstMpps(*fchain, trace, 32);
-    if (!fchain->fused()) {
-      std::fprintf(stderr,
-                   "chain %s never promoted to the fused path under load\n",
-                   param.c_str());
-      return 1;
-    }
-    report.Add("eNetSTL-fused", param, fused_mpps);
-    std::printf("%-14s %12s %12s %12.3f %+14.1f (fused vs generic eNetSTL)\n",
-                (param + " fused").c_str(), "-", "-", fused_mpps,
-                bench::PercentGain(fused_mpps, mpps[2]));
   }
   acc.PrintSummary("chain sweep");
 

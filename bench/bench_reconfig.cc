@@ -3,7 +3,7 @@
 // Part 1 — hot-swap latency (request-to-commit, ReconfigStats::last_swap_ns)
 // for the three swap modes:
 //   twin-inline    warm replacement, immediate commit at the call's burst
-//                  boundary (build + verify + prog-array flip + demote);
+//                  boundary (build + verify + prog-array flip + re-fold);
 //   state-transfer katran-lb backend swap exporting/importing the recorded
 //                  connection table (the affinity-preserving path);
 //   shadow-8       dual-write warm-up over 8 bursts — the latency window
@@ -12,10 +12,10 @@
 //                  flight during the swap" the harness reports.
 //
 // Part 2 — throughput under a reconfiguration storm: per chain depth, the
-// steady rate of an untouched fused chain vs the same chain with an inline
-// twin swap (plus re-promotion) fired from the datapath every
-// kStormSwapPeriod bursts. The transient dip is the price of live
-// reconfiguration; the acceptance budget is a <5% dip.
+// steady rate of an untouched chain vs the same chain with an inline twin
+// swap fired from the datapath every kStormSwapPeriod bursts. The transient
+// dip is the price of live reconfiguration; the acceptance budget is a <5%
+// dip.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -105,8 +105,6 @@ LatencySummary MeasureTwinInline(const nf::BenchEnv& env, int reps) {
     std::fprintf(stderr, "bench_reconfig: chain construction failed\n");
     std::exit(1);
   }
-  chain->EnableFusion();
-  chain->TryPromoteNow();
   nf::ChainReconfig plane(*chain);
   std::vector<u64> ns;
   for (int rep = 0; rep < reps; ++rep) {
@@ -119,7 +117,6 @@ LatencySummary MeasureTwinInline(const nf::BenchEnv& env, int reps) {
       std::exit(1);
     }
     ns.push_back(plane.stats().last_swap_ns);
-    chain->TryPromoteNow();  // re-specialize after the demoting edit
   }
   return Summarize(std::move(ns));
 }
@@ -200,9 +197,9 @@ LatencySummary MeasureShadowWarmup(const nf::BenchEnv& env, int reps,
 }
 
 // Steady vs storm throughput for one chain depth. The storm handler fires
-// an inline twin swap (then re-promotes) from inside the datapath every
-// kStormSwapPeriod bursts — the swap's full cost lands in the measured
-// window, which is exactly the transient dip the budget bounds.
+// an inline twin swap (which re-folds the chain) from inside the datapath
+// every kStormSwapPeriod bursts — the swap's full cost lands in the
+// measured window, which is exactly the transient dip the budget bounds.
 void MeasureDepth(const nf::BenchEnv& env, u32 depth, double* steady_mpps,
                   double* storm_mpps) {
   auto chain =
@@ -211,8 +208,6 @@ void MeasureDepth(const nf::BenchEnv& env, u32 depth, double* steady_mpps,
     std::fprintf(stderr, "bench_reconfig: depth-%u chain failed\n", depth);
     std::exit(1);
   }
-  chain->EnableFusion();
-  chain->TryPromoteNow();
   nf::ChainReconfig plane(*chain);
 
   pktgen::Pipeline::Options opts;
@@ -238,7 +233,7 @@ void MeasureDepth(const nf::BenchEnv& env, u32 depth, double* steady_mpps,
     best_steady = std::max(best_steady, steady.pps);
 
     // Replacements are built off the measured path (a real control plane
-    // prepares them out-of-band); the storm pays commit + re-promotion.
+    // prepares them out-of-band); the storm pays commit + re-fold.
     std::vector<std::unique_ptr<nf::NetworkFunction>> twins;
     for (std::size_t i = 0; i < swaps_per_pass; ++i) {
       twins.push_back(MakeTwin("cuckoo-filter", env));
@@ -251,7 +246,6 @@ void MeasureDepth(const nf::BenchEnv& env, u32 depth, double* steady_mpps,
         (void)plane.SwapNfWith("cuckoo-filter", std::move(twins.back()),
                                InlineSwap());
         twins.pop_back();
-        plane.chain().TryPromoteNow();
       }
     };
     const auto storm =

@@ -65,7 +65,7 @@ int main() {
               mismatches, mismatches == 0 ? "bit-identical" : "BUG");
 
   // 3. Per-stage accounting: where did the packets go?
-  for (const nf::ChainStageStats& s : chain->stage_stats()) {
+  for (const pktgen::StageStats& s : chain->stage_stats()) {
     std::printf(
         "  stage %-18s in=%-6llu pass=%-6llu drop=%-6llu tx=%llu\n",
         s.name.c_str(), static_cast<unsigned long long>(s.in),

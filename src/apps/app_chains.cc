@@ -124,10 +124,8 @@ std::unique_ptr<nf::ChainExecutor> MakeLbChain(
                            (result.errors.empty() ? std::string("?")
                                                   : result.errors.front()));
   }
-  // A deployed LB chain is exactly the stable-topology workload hot-chain
-  // specialization targets: arm obs-driven fusion so sustained traffic
-  // promotes to the single-pass executor, and any stage swap demotes.
-  chain->EnableFusion();
+  // Load() folded the chain into its single-pass fused program; a backend
+  // swap (SwapLbBackends) re-folds it at the commit.
   return chain;
 }
 

@@ -105,7 +105,7 @@ inline XdpAction RunChainEntry(const XdpProgram& entry, XdpContext& ctx) {
 
 // Fusion eligibility against the tail-call budget: a fused chain stands in
 // for one complete walk of `depth` programs, so it may only exist where the
-// generic walk itself fits the MAX_TAIL_CALL_CNT model. Chains past the
+// tail-call walk itself fits the MAX_TAIL_CALL_CNT model. Chains past the
 // budget already fail Load(); this keeps the fused path from ever being
 // built for a shape the verifier would reject.
 inline bool FusionWithinTailCallBudget(u32 depth) {

@@ -1,14 +1,11 @@
 #include "nf/chain.h"
 
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/telemetry.h"
 
 namespace nf {
-
-using detail::ChainNowNs;
 
 ChainExecutor::ChainExecutor(std::string name) : name_(std::move(name)) {}
 
@@ -23,11 +20,34 @@ ChainExecutor& ChainExecutor::AddStage(std::unique_ptr<NetworkFunction> stage) {
   return *this;
 }
 
-void ChainExecutor::RegisterStageScope(u32 i) {
+void ChainExecutor::BindStage(u32 i) {
+  stats_[i].name = std::string(stages_[i]->name());
   // Registering scopes also constructs the telemetry singleton, which
   // registers the ringbuf kfuncs the stage manifests declare.
   stage_scopes_[i] = obs::Telemetry::Global().RegisterScope(
-      name_ + "/" + std::to_string(i) + ":" + std::string(stages_[i]->name()));
+      name_ + "/" + std::to_string(i) + ":" + stats_[i].name);
+}
+
+void ChainExecutor::Refold() {
+  std::vector<FusedStage> folded(depth());
+  for (u32 i = 0; i < depth(); ++i) {
+    FusedStage& stage = folded[i];
+    stage.nf = stages_[i].get();
+    stage.scope = stage_scopes_[i];
+    stage.stats = &stats_[i];
+    if (auto op = stages_[i]->LowerToKeyOp()) {
+      stage.lowered = true;
+      stage.contains = std::move(op->contains);
+    }
+  }
+  std::unique_ptr<FusedChain> fused = FusedChain::Fuse(std::move(folded));
+  if (fused == nullptr) {
+    // Unreachable: Load() and every edit check the depth and stage set
+    // that Fuse() re-checks before they commit.
+    throw std::logic_error(name_ + ": a verified stage set failed to fold");
+  }
+  fused_ = std::move(fused);
+  ++fusion_stats_.generation;
 }
 
 ebpf::VerifyResult ChainExecutor::BuildProgramFor(
@@ -57,7 +77,7 @@ ebpf::VerifyResult ChainExecutor::BuildProgramFor(
   *out = std::make_unique<ebpf::XdpProgram>(
       std::move(spec),
       [this, nf, i, last](ebpf::XdpContext& ctx) -> ebpf::XdpAction {
-        ChainStageStats& stats = stats_[i];
+        pktgen::StageStats& stats = stats_[i];
         ++stats.in;
         ebpf::XdpAction action;
         {
@@ -84,11 +104,58 @@ ebpf::VerifyResult ChainExecutor::BuildProgramFor(
   return (*out)->Load();
 }
 
-void ChainExecutor::BindStageMeta(u32 i) {
-  stats_[i] = ChainStageStats{};
-  stats_[i].name = std::string(stages_[i]->name());
-  stats_[i].variant = stages_[i]->variant();
-  RegisterStageScope(i);
+std::vector<NetworkFunction*> ChainExecutor::StageView() const {
+  std::vector<NetworkFunction*> view;
+  view.reserve(stages_.size());
+  for (const auto& stage : stages_) {
+    view.push_back(stage.get());
+  }
+  return view;
+}
+
+ebpf::VerifyResult ChainExecutor::BuildProgramSet(
+    const std::vector<NetworkFunction*>& view,
+    std::vector<std::unique_ptr<ebpf::XdpProgram>>* programs,
+    std::unique_ptr<ebpf::ProgArrayMap>* array) {
+  ebpf::VerifyResult result;
+  const u32 depth = static_cast<u32>(view.size());
+  programs->clear();
+  programs->resize(depth);
+  *array = std::make_unique<ebpf::ProgArrayMap>(depth);
+  for (u32 i = 0; i < depth; ++i) {
+    const ebpf::VerifyResult stage_result =
+        BuildProgramFor(view[i], i, depth, &(*programs)[i]);
+    if (!stage_result.ok) {
+      result.ok = false;
+      for (const std::string& error : stage_result.errors) {
+        result.errors.push_back(error);
+      }
+    }
+  }
+  if (!result.ok) {
+    return result;
+  }
+  for (u32 i = 0; i < depth; ++i) {
+    if ((*array)->UpdateElem(i, (*programs)[i].get()) != ebpf::kOk) {
+      result.Fail(name_ + ": prog array rejected stage " + std::to_string(i));
+      break;
+    }
+  }
+  return result;
+}
+
+void ChainExecutor::CommitProgramSet(
+    std::vector<std::unique_ptr<ebpf::XdpProgram>> programs,
+    std::unique_ptr<ebpf::ProgArrayMap> array) {
+  programs_ = std::move(programs);
+  prog_array_ = std::move(array);
+  // Scope names embed the stage index, so every slot re-registers; the
+  // surviving stages keep their verdict counters.
+  stage_scopes_.assign(depth(), obs::kInvalidScope);
+  for (u32 i = 0; i < depth(); ++i) {
+    BindStage(i);
+  }
+  Refold();
 }
 
 ebpf::VerifyResult ChainExecutor::Load() {
@@ -98,43 +165,22 @@ ebpf::VerifyResult ChainExecutor::Load() {
     return result;
   }
 
-  // (Re)loading is a reconfiguration: the fused program, if any, is built
-  // against the previous structure.
-  Demote();
-
-  const u32 depth = this->depth();
-  programs_.clear();
-  programs_.resize(depth);
-  prog_array_ = std::make_unique<ebpf::ProgArrayMap>(depth);
-  stats_.assign(depth, ChainStageStats{});
-  stage_scopes_.assign(depth, obs::kInvalidScope);
-  fusion_scope_ = obs::Telemetry::Global().RegisterScope(name_ + "/fused");
-  for (u32 i = 0; i < depth; ++i) {
-    stats_[i].name = std::string(stages_[i]->name());
-    stats_[i].variant = stages_[i]->variant();
-    RegisterStageScope(i);
+  // Binding the stages registers their scopes first, which constructs the
+  // telemetry singleton the stage manifests' ringbuf kfuncs need.
+  stats_.assign(depth(), pktgen::StageStats{});
+  stage_scopes_.assign(depth(), obs::kInvalidScope);
+  for (u32 i = 0; i < depth(); ++i) {
+    BindStage(i);
   }
+  result = BuildProgramSet(StageView(), &programs_, &prog_array_);
 
-  for (u32 i = 0; i < depth; ++i) {
-    const ebpf::VerifyResult stage_result =
-        BuildProgramFor(stages_[i].get(), i, depth, &programs_[i]);
-    if (!stage_result.ok) {
-      result.ok = false;
-      for (const std::string& error : stage_result.errors) {
-        result.errors.push_back(error);
-      }
-    }
-  }
-
+  // (Re)loading rebuilt every program: fold a fresh fused program, or drop
+  // the previous one if the chain is no longer runnable.
   if (result.ok) {
-    for (u32 i = 0; i < depth; ++i) {
-      if (prog_array_->UpdateElem(i, programs_[i].get()) != ebpf::kOk) {
-        result.Fail(name_ + ": prog array rejected stage " +
-                    std::to_string(i));
-      }
-    }
+    Refold();
+  } else {
+    fused_.reset();
   }
-
   loaded_ = result.ok;
   return result;
 }
@@ -150,9 +196,8 @@ ebpf::VerifyResult ChainExecutor::ReplaceStage(
 
   // Build + verify the replacement program aside. Nothing is committed yet:
   // a rejected replacement must leave the chain bit-identical — old stage,
-  // old program, and a live fused program all intact (no spurious
-  // demotion/generation bump, which the pre-commit rollback contract of the
-  // reconfig plane relies on).
+  // old program, the same fused program and generation (the pre-commit
+  // rollback contract of the reconfig plane relies on it).
   std::unique_ptr<ebpf::XdpProgram> program;
   result = BuildProgramFor(stage.get(), i, depth(), &program);
   if (!result.ok) {
@@ -168,13 +213,13 @@ ebpf::VerifyResult ChainExecutor::ReplaceStage(
     return result;
   }
 
-  // Committed. Structural change: drop the fused program (folded over the
-  // old stage pointer) before the old NF is destroyed, so the generic walk
-  // with the new stage is what the next burst runs.
-  Demote();
+  // Committed: swap the stage in and re-fold, so the next burst runs a
+  // fused program built from the new stage set.
   stages_[i] = std::move(stage);
   programs_[i] = std::move(program);
-  BindStageMeta(i);
+  stats_[i] = pktgen::StageStats{};
+  BindStage(i);
+  Refold();
   return result;
 }
 
@@ -197,57 +242,20 @@ ebpf::VerifyResult ChainExecutor::InsertStage(
   }
 
   // Post-edit stage view (suffix depths shift, so every program rebuilds).
-  std::vector<NetworkFunction*> view;
-  view.reserve(new_depth);
-  for (u32 i = 0; i < pos; ++i) {
-    view.push_back(stages_[i].get());
-  }
-  view.push_back(stage.get());
-  for (u32 i = pos; i < depth(); ++i) {
-    view.push_back(stages_[i].get());
-  }
-
-  std::vector<std::unique_ptr<ebpf::XdpProgram>> programs(new_depth);
-  std::unique_ptr<ebpf::ProgArrayMap> array =
-      std::make_unique<ebpf::ProgArrayMap>(new_depth);
-  for (u32 i = 0; i < new_depth; ++i) {
-    const ebpf::VerifyResult stage_result =
-        BuildProgramFor(view[i], i, new_depth, &programs[i]);
-    if (!stage_result.ok) {
-      result.ok = false;
-      for (const std::string& error : stage_result.errors) {
-        result.errors.push_back(error);
-      }
-    }
-  }
-  if (result.ok) {
-    for (u32 i = 0; i < new_depth; ++i) {
-      if (array->UpdateElem(i, programs[i].get()) != ebpf::kOk) {
-        result.Fail(name_ + ": prog array rejected stage " +
-                    std::to_string(i) + " during insert");
-        break;
-      }
-    }
-  }
+  std::vector<NetworkFunction*> view = StageView();
+  view.insert(view.begin() + pos, stage.get());
+  std::vector<std::unique_ptr<ebpf::XdpProgram>> programs;
+  std::unique_ptr<ebpf::ProgArrayMap> array;
+  result = BuildProgramSet(view, &programs, &array);
   if (!result.ok) {
     return result;  // nothing committed; chain bit-identical
   }
 
   // Commit the whole post-edit set at once (no packet observes a mix of old
-  // and new suffix depths), demoting any fused program first.
-  Demote();
+  // and new suffix depths).
   stages_.insert(stages_.begin() + pos, std::move(stage));
-  programs_ = std::move(programs);
-  prog_array_ = std::move(array);
-  stats_.insert(stats_.begin() + pos, ChainStageStats{});
-  stage_scopes_.assign(new_depth, obs::kInvalidScope);
-  for (u32 i = 0; i < new_depth; ++i) {
-    // Scope names embed the stage index, so every slot re-registers; the
-    // surviving stages keep their verdict counters.
-    stats_[i].name = std::string(stages_[i]->name());
-    stats_[i].variant = stages_[i]->variant();
-    RegisterStageScope(i);
-  }
+  stats_.insert(stats_.begin() + pos, pktgen::StageStats{});
+  CommitProgramSet(std::move(programs), std::move(array));
   return result;
 }
 
@@ -262,55 +270,21 @@ ebpf::VerifyResult ChainExecutor::RemoveStage(u32 pos) {
     result.Fail(name_ + ": RemoveStage would leave an empty chain");
     return result;
   }
-  const u32 new_depth = depth() - 1;
 
-  std::vector<NetworkFunction*> view;
-  view.reserve(new_depth);
-  for (u32 i = 0; i < depth(); ++i) {
-    if (i != pos) {
-      view.push_back(stages_[i].get());
-    }
-  }
-
-  std::vector<std::unique_ptr<ebpf::XdpProgram>> programs(new_depth);
-  std::unique_ptr<ebpf::ProgArrayMap> array =
-      std::make_unique<ebpf::ProgArrayMap>(new_depth);
-  for (u32 i = 0; i < new_depth; ++i) {
-    const ebpf::VerifyResult stage_result =
-        BuildProgramFor(view[i], i, new_depth, &programs[i]);
-    if (!stage_result.ok) {
-      result.ok = false;
-      for (const std::string& error : stage_result.errors) {
-        result.errors.push_back(error);
-      }
-    }
-  }
-  if (result.ok) {
-    for (u32 i = 0; i < new_depth; ++i) {
-      if (array->UpdateElem(i, programs[i].get()) != ebpf::kOk) {
-        result.Fail(name_ + ": prog array rejected stage " +
-                    std::to_string(i) + " during remove");
-        break;
-      }
-    }
-  }
+  std::vector<NetworkFunction*> view = StageView();
+  view.erase(view.begin() + pos);
+  std::vector<std::unique_ptr<ebpf::XdpProgram>> programs;
+  std::unique_ptr<ebpf::ProgArrayMap> array;
+  result = BuildProgramSet(view, &programs, &array);
   if (!result.ok) {
     return result;
   }
 
-  // Commit: demote first — the fused program folded the removed stage's NF
-  // pointer, which is destroyed by the erase below.
-  Demote();
+  // Commit. The old fused program still holds the removed stage's NF
+  // pointer until CommitProgramSet re-folds, but no burst runs in between.
   stages_.erase(stages_.begin() + pos);
-  programs_ = std::move(programs);
-  prog_array_ = std::move(array);
   stats_.erase(stats_.begin() + pos);
-  stage_scopes_.assign(new_depth, obs::kInvalidScope);
-  for (u32 i = 0; i < new_depth; ++i) {
-    stats_[i].name = std::string(stages_[i]->name());
-    stats_[i].variant = stages_[i]->variant();
-    RegisterStageScope(i);
-  }
+  CommitProgramSet(std::move(programs), std::move(array));
   return result;
 }
 
@@ -328,170 +302,9 @@ void ChainExecutor::ProcessBurst(ebpf::XdpContext* ctxs, u32 count,
     throw std::logic_error("ChainExecutor::ProcessBurst on unloaded chain '" +
                            name_ + "'");
   }
-  ForEachNfChunk(count, [&](u32 start, u32 chunk) {
-    // One fused-program read per chunk: a demotion (reconfiguration) between
-    // chunks is honored at the next chunk boundary and is never observed
-    // mid-walk — the chunk runs to completion on the program it started on.
-    FusedChain* const fused = fused_.get();
-    if (fused != nullptr) {
-      ++fusion_stats_.fused_bursts;
-      fusion_stats_.fused_packets += chunk;
-      fused->ExecuteBurst(ctxs + start, chunk, verdicts + start);
-      return;
-    }
-    ++fusion_stats_.generic_bursts;
-    BurstChunk(ctxs + start, chunk, verdicts + start);
-    if (fusion_armed_) {
-      MaybePromote(chunk);
-    }
-  });
-}
-
-void ChainExecutor::BurstChunk(ebpf::XdpContext* ctxs, u32 count,
-                               ebpf::XdpAction* verdicts) {
-  // Compacted survivor set (hoisted member scratch — no per-burst setup
-  // beyond the initial copy): live[i] holds the context of original slot
-  // slot_of[i], in arrival order. Each stage processes the whole survivor
-  // burst at once, then non-PASS packets retire their verdict into the
-  // original slot and PASS survivors regroup for the next stage.
-  ebpf::XdpContext* live = burst_live_;
-  u32* slot_of = burst_slot_of_;
-  ebpf::XdpAction* stage_verdicts = burst_verdicts_;
-  for (u32 i = 0; i < count; ++i) {
-    live[i] = ctxs[i];
-    slot_of[i] = i;
-  }
-
-  u32 survivors = count;
-  const u32 depth = this->depth();
-  for (u32 s = 0; s < depth && survivors > 0; ++s) {
-    ChainStageStats& stats = stats_[s];
-    const u64 t0 = ChainNowNs();
-    stages_[s]->ProcessBurst(live, survivors, stage_verdicts);
-    const u64 stage_ns = ChainNowNs() - t0;
-    stats.ns += stage_ns;
-    stats.in += survivors;
-    if constexpr (obs::kCompiledIn) {
-      // Reuses the stage timing already taken above: sampled packets are
-      // attributed the burst-average latency, so the burst path adds no
-      // extra clock reads.
-      obs::Telemetry::Global().RecordBurst(
-          stage_scopes_[s], stage_ns, survivors,
-          [&](u32 idx) { return obs::FlowOf(live[idx]); });
-    }
-
-    const bool last = s + 1 == depth;
-    u32 next = 0;
-    for (u32 i = 0; i < survivors; ++i) {
-      const ebpf::XdpAction action = stage_verdicts[i];
-      stats.Count(action);
-      if (action == ebpf::XdpAction::kPass && !last) {
-        live[next] = live[i];
-        slot_of[next] = slot_of[i];
-        ++next;
-      } else {
-        verdicts[slot_of[i]] = action;
-      }
-    }
-    survivors = next;
-  }
-}
-
-// --------------------------------------------------------------------------
-// Fusion state machine
-// --------------------------------------------------------------------------
-
-void ChainExecutor::EnableFusion(FusionPolicy policy) {
-  fusion_policy_ = policy;
-  if (fusion_policy_.hot_bursts == 0) {
-    fusion_policy_.hot_bursts = 1;
-  }
-  fusion_armed_ = true;
-  stable_bursts_ = 0;
-  observed_pkts_ = 0;
-}
-
-void ChainExecutor::DisableFusion() {
-  Demote();
-  fusion_armed_ = false;
-}
-
-bool ChainExecutor::TryPromoteNow() {
-  if (!fusion_armed_ || !loaded_) {
-    return false;
-  }
-  return PromoteNow();
-}
-
-void ChainExecutor::MaybePromote(u32 pkts) {
-  observed_pkts_ += pkts;
-  ++stable_bursts_;
-  if (stable_bursts_ < fusion_policy_.hot_bursts ||
-      observed_pkts_ < fusion_policy_.min_packets) {
-    return;
-  }
-  // Cross-check hotness against the chain's own observability plane: the
-  // entry stage's counters must account for the traffic, so a freshly
-  // reset / reconfigured chain never promotes on stale bookkeeping.
-  if (stats_.empty() || stats_[0].in < fusion_policy_.min_packets) {
-    return;
-  }
-  (void)PromoteNow();
-}
-
-bool ChainExecutor::PromoteNow() {
-  if (fused_ != nullptr) {
-    return true;
-  }
-  const u32 depth = this->depth();
-  if (!ebpf::FusionWithinTailCallBudget(depth)) {
-    return false;
-  }
-  // Constant-fold the per-stage config: stage pointers, scope ids, stats
-  // slots, observed latency, and key-level lowerings resolve once, here.
-  std::vector<FusedStage> fused_stages;
-  fused_stages.reserve(depth);
-  for (u32 i = 0; i < depth; ++i) {
-    FusedStage stage;
-    stage.nf = stages_[i].get();
-    stage.scope = stage_scopes_[i];
-    stage.stats = &stats_[i];
-    if (auto op = stages_[i]->LowerToKeyOp()) {
-      stage.lowered = true;
-      stage.contains = std::move(op->contains);
-    }
-    if constexpr (obs::kCompiledIn) {
-      const obs::LatencyHist hist =
-          obs::Telemetry::Global().Snapshot(stage_scopes_[i]);
-      stage.expected_ns = hist.samples > 0 ? hist.total_ns / hist.samples : 0;
-    }
-    fused_stages.push_back(std::move(stage));
-  }
-  fused_ = FusedChain::Fuse(std::move(fused_stages), fusion_stats_.generation);
-  if (fused_ == nullptr) {
-    return false;
-  }
-  ++fusion_stats_.promotions;
-  if constexpr (obs::kCompiledIn) {
-    obs::Telemetry::Global().RecordControl(fusion_scope_, kFusionPromoteCode,
-                                           fusion_stats_.generation);
-  }
-  return true;
-}
-
-void ChainExecutor::Demote() {
-  stable_bursts_ = 0;
-  observed_pkts_ = 0;
-  ++fusion_stats_.generation;
-  if (fused_ == nullptr) {
-    return;
-  }
-  fused_.reset();
-  ++fusion_stats_.demotions;
-  if constexpr (obs::kCompiledIn) {
-    obs::Telemetry::Global().RecordControl(fusion_scope_, kFusionDemoteCode,
-                                           fusion_stats_.generation);
-  }
+  ++fusion_stats_.fused_bursts;
+  fusion_stats_.fused_packets += count;
+  fused_->ExecuteBurst(ctxs, count, verdicts);
 }
 
 Variant ChainExecutor::variant() const {
@@ -516,12 +329,10 @@ Variant ChainExecutor::variant() const {
 }
 
 void ChainExecutor::ResetStageStats() {
-  for (ChainStageStats& stats : stats_) {
-    const std::string name = stats.name;
-    const Variant variant = stats.variant;
-    stats = ChainStageStats{};
-    stats.name = name;
-    stats.variant = variant;
+  for (pktgen::StageStats& stats : stats_) {
+    std::string name = std::move(stats.name);
+    stats = pktgen::StageStats{};
+    stats.name = std::move(name);
   }
 }
 
@@ -557,19 +368,7 @@ pktgen::ShardedPipeline::ProgramFactory ShardedChainFactory(
       chain->ProcessBurst(ctxs, count, verdicts);
     };
     program.finish = [chain](pktgen::ShardedPipeline::ShardStats& shard) {
-      shard.stages.clear();
-      for (const ChainStageStats& stage : chain->stage_stats()) {
-        pktgen::ShardedPipeline::StageBreakdown breakdown;
-        breakdown.name = stage.name;
-        breakdown.in = stage.in;
-        breakdown.pass = stage.pass;
-        breakdown.drop = stage.drop;
-        breakdown.tx = stage.tx;
-        breakdown.redirect = stage.redirect;
-        breakdown.aborted = stage.aborted;
-        breakdown.ns = stage.ns;
-        shard.stages.push_back(std::move(breakdown));
-      }
+      shard.stages = chain->stage_stats();
     };
     return program;
   };

@@ -9,21 +9,14 @@
 // verifier; a chain of more than ebpf::kMaxTailCallChain (33) programs is
 // rejected at load time, mirroring MAX_TAIL_CALL_CNT.
 //
-// Burst path — the burst stays batched through the chain: each stage's
-// ProcessBurst runs over the compacted survivors of the previous stage, then
-// verdicts are partitioned (kPass continues, anything else exits at its
-// original slot) and survivors regrouped in arrival order. Because stages
-// are independent state machines and survivors keep arrival order, every
-// stage sees exactly the packets (in exactly the order) it would see under
-// per-packet scalar traversal — so chain verdicts are bit-identical to the
+// Burst path — one executor, the fused program (nf/fused_chain.h): Load()
+// folds the stage set into a FusedChain, and the commit step of every stage
+// edit folds a fresh one from the new stage set and swaps it in. The burst
+// stays batched through the chain as a per-burst verdict bitmask; each stage
+// sees exactly the packets (in exactly the order) it would see under
+// per-packet scalar traversal, so chain verdicts are bit-identical to the
 // scalar path, given stage ProcessBurst == scalar Process (the repo-wide
-// batching invariant).
-//
-// Fused path (nf/fused_chain.h) — chains observed hot and structurally
-// stable promote to a single-pass specialized executor that carries a
-// per-burst verdict bitmask through constant-folded stages; any
-// reconfiguration demotes back to the generic walk, which remains the
-// semantic oracle.
+// batching invariant). The scalar tail-call walk is the semantic oracle.
 #ifndef ENETSTL_NF_CHAIN_H_
 #define ENETSTL_NF_CHAIN_H_
 
@@ -39,45 +32,6 @@
 #include "pktgen/sharded_pipeline.h"
 
 namespace nf {
-
-struct ChainStageStats {
-  std::string name;
-  Variant variant = Variant::kKernel;
-  u64 in = 0;  // packets entering the stage
-  // Verdict histogram; `pass` is also the packets-out count (survivors).
-  u64 pass = 0;
-  u64 drop = 0;
-  u64 tx = 0;
-  u64 redirect = 0;
-  u64 aborted = 0;
-  // Stage time, accumulated on the burst path only (per-packet timing would
-  // distort the scalar latency measurements).
-  u64 ns = 0;
-
-  u64 out() const { return pass; }
-
-  // Verdict-histogram update shared by the scalar walk, the generic burst
-  // walk, and the fused executor.
-  void Count(ebpf::XdpAction action) {
-    switch (action) {
-      case ebpf::XdpAction::kPass:
-        ++pass;
-        break;
-      case ebpf::XdpAction::kDrop:
-        ++drop;
-        break;
-      case ebpf::XdpAction::kTx:
-        ++tx;
-        break;
-      case ebpf::XdpAction::kRedirect:
-        ++redirect;
-        break;
-      case ebpf::XdpAction::kAborted:
-        ++aborted;
-        break;
-    }
-  }
-};
 
 // An ordered NF chain that is itself a NetworkFunction, so chains register,
 // bench, and shard exactly like single NFs (and can nest).
@@ -102,7 +56,7 @@ class ChainExecutor : public NetworkFunction {
   // XdpProgram::Run) if the chain is not loaded.
   ebpf::XdpAction Process(ebpf::XdpContext& ctx) override;
 
-  // Burst path: partition-and-regroup per stage; accepts any count.
+  // Burst path: runs the fused program; accepts any count.
   void ProcessBurst(ebpf::XdpContext* ctxs, u32 count,
                     ebpf::XdpAction* verdicts) override;
 
@@ -114,38 +68,33 @@ class ChainExecutor : public NetworkFunction {
 
   u32 depth() const { return static_cast<u32>(stages_.size()); }
   NetworkFunction& stage(u32 i) { return *stages_[i]; }
-  const std::vector<ChainStageStats>& stage_stats() const { return stats_; }
+  const std::vector<pktgen::StageStats>& stage_stats() const {
+    return stats_;
+  }
   void ResetStageStats();
 
-  // --- Hot-chain specialization (see nf/fused_chain.h) ---
-
-  // Arms obs-driven promotion: once the chain has been observed hot and
-  // structurally stable against `policy` (judged from stage_stats, the same
-  // counters the telemetry plane attributes), bursts switch to the fused
-  // single-pass executor. Scalar Process() always takes the generic
-  // tail-call walk — the semantic oracle fusion is checked against.
-  void EnableFusion(FusionPolicy policy = FusionPolicy{});
-  // Demotes (if fused) and disarms promotion.
-  void DisableFusion();
-  // Forces promotion immediately, bypassing the hotness thresholds (benches
-  // and tests). Returns false when fusion is not armed, the chain is
-  // unloaded, or the depth fails the tail-call budget eligibility check;
-  // true when the chain is fused on return.
-  bool TryPromoteNow();
-  bool fused() const { return fused_ != nullptr; }
-  const FusionPolicy& fusion_policy() const { return fusion_policy_; }
+  // The fused program the next burst runs; null until Load() succeeds. A
+  // committed edit replaces it, a rejected one leaves the same object.
+  const FusedChain* fused_program() const { return fused_.get(); }
   const FusionStats& fusion_stats() const { return fusion_stats_; }
+
+  // No-op, the chain is fused from Load() on; the benchmark is its only caller.
+  void EnableFusion() {}
+  // Returns fused(). The benchmark is its only caller.
+  bool TryPromoteNow() { return fused(); }
+  // True once the chain is loaded. The benchmark is its only caller.
+  bool fused() const { return fused_ != nullptr; }
 
   // Atomically replaces stage `i`: builds and verifies a fresh program bound
   // to the new NF first, then commits by updating the PROG_ARRAY slot (the
   // live-update idiom prog arrays exist for) and swapping the stage in.
   // Ordering guarantees:
   //  * verification failure or a rejected prog-array update happens BEFORE
-  //    anything is committed — the chain (including a live fused program) is
-  //    left bit-identical to its pre-call state;
-  //  * a successful replacement demotes the chain to the generic walk before
-  //    the next burst (the fused program never outlives the stage set it was
-  //    folded from).
+  //    anything is committed — the chain (including its fused program and
+  //    generation) is left bit-identical to its pre-call state;
+  //  * a successful replacement re-folds the fused program from the new
+  //    stage set before the next burst (a fused program never outlives the
+  //    stage set it was folded from).
   ebpf::VerifyResult ReplaceStage(u32 i,
                                   std::unique_ptr<NetworkFunction> stage);
 
@@ -154,15 +103,13 @@ class ChainExecutor : public NetworkFunction {
   // EVERY stage program and a fresh prog array aside, then commits the whole
   // set at once — no packet can observe a half-edited chain, and the
   // tail-call budget (<= 33 stages) is revalidated before any commit.
-  // Failure leaves the chain bit-identical; success demotes any fused
+  // Failure leaves the chain bit-identical; success re-folds the fused
   // program. `pos` for InsertStage may equal depth() (append).
   ebpf::VerifyResult InsertStage(u32 pos,
                                  std::unique_ptr<NetworkFunction> stage);
   ebpf::VerifyResult RemoveStage(u32 pos);
 
  private:
-  void BurstChunk(ebpf::XdpContext* ctxs, u32 count, ebpf::XdpAction* verdicts);
-
   // Builds + verifies one stage program bound to `nf` at slot `i` of a chain
   // of `depth` stages, into *out. Binding the NF pointer at build time (not
   // looking stages_[i] up at run time) is what makes a prog-array slot
@@ -171,42 +118,37 @@ class ChainExecutor : public NetworkFunction {
   // build-aside-then-commit edits verify before mutating anything.
   ebpf::VerifyResult BuildProgramFor(NetworkFunction* nf, u32 i, u32 depth,
                                      std::unique_ptr<ebpf::XdpProgram>* out);
-  // Rebuilds stats_[i] identity + telemetry scope after a stage change.
-  void BindStageMeta(u32 i);
-  void RegisterStageScope(u32 i);
-
-  // Fusion state machine (chain.cc): burst-path promotion bookkeeping,
-  // constant-folding promotion, and reconfiguration demotion.
-  void MaybePromote(u32 pkts);
-  bool PromoteNow();
-  void Demote();
+  std::vector<NetworkFunction*> StageView() const;
+  // Builds + verifies one program per stage of `view` and a prog array
+  // holding them. Touches no chain state, so edits build aside and commit
+  // only once the whole set verifies.
+  ebpf::VerifyResult BuildProgramSet(
+      const std::vector<NetworkFunction*>& view,
+      std::vector<std::unique_ptr<ebpf::XdpProgram>>* programs,
+      std::unique_ptr<ebpf::ProgArrayMap>* array);
+  // Installs a built set for the (already edited) stages_, rebinds every
+  // stage and re-folds.
+  void CommitProgramSet(
+      std::vector<std::unique_ptr<ebpf::XdpProgram>> programs,
+      std::unique_ptr<ebpf::ProgArrayMap> array);
+  // Names stats_[i] after stage i and registers its telemetry scope.
+  void BindStage(u32 i);
+  // Folds the current stage set into a fresh fused program and swaps it in:
+  // the last step of Load() and of every committed edit.
+  void Refold();
 
   std::string name_;
   std::vector<std::unique_ptr<NetworkFunction>> stages_;
   std::vector<std::unique_ptr<ebpf::XdpProgram>> programs_;
   std::unique_ptr<ebpf::ProgArrayMap> prog_array_;
-  std::vector<ChainStageStats> stats_;
+  std::vector<pktgen::StageStats> stats_;
   // Telemetry scope per stage ("<chain>/<i>:<stage>"), registered at Load();
   // obs::kInvalidScope when the observability plane is compiled out.
   std::vector<u16> stage_scopes_;
   bool loaded_ = false;
 
-  // Fused-path state.
-  bool fusion_armed_ = false;
-  FusionPolicy fusion_policy_;
-  FusionStats fusion_stats_;
   std::unique_ptr<FusedChain> fused_;
-  u32 stable_bursts_ = 0;
-  u64 observed_pkts_ = 0;
-  // Control scope ("<chain>/fused") for promote/demote kControl events.
-  u16 fusion_scope_ = obs::kInvalidScope;
-
-  // Generic-walk burst scratch, hoisted out of the per-burst hot path (the
-  // executor is single-threaded per shard, like its stats): the compacted
-  // survivor set, its original-slot map, and the per-stage verdicts.
-  ebpf::XdpContext burst_live_[kMaxNfBurst];
-  u32 burst_slot_of_[kMaxNfBurst];
-  ebpf::XdpAction burst_verdicts_[kMaxNfBurst];
+  FusionStats fusion_stats_;
 };
 
 // Builds (and Load()s) a chain whose stages are registry NFs in the given
@@ -221,7 +163,7 @@ std::unique_ptr<ChainExecutor> MakeBenchChain(
 // Adapts a per-cpu chain factory into a ShardedPipeline program factory:
 // every shard drives its own chain replica (the RSS model — flow-disjoint
 // shards, no cross-core state), and each chain's per-stage counters are
-// exported into the shard's StageBreakdown when the run finishes.
+// exported into ShardStats::stages when the run finishes.
 pktgen::ShardedPipeline::ProgramFactory ShardedChainFactory(
     std::function<std::shared_ptr<ChainExecutor>(u32 cpu)> make_chain);
 

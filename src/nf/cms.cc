@@ -3,7 +3,10 @@
 #include "nf/nf_registry.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "core/hash.h"
 #include "core/hash_inl.h"
@@ -15,6 +18,17 @@ namespace nf {
 // ---------------------------------------------------------------------------
 // CmsBase
 // ---------------------------------------------------------------------------
+
+const CmsConfig& CmsBase::Checked(const CmsConfig& config) {
+  if (config.rows < 1 || config.rows > 8 ||
+      !std::has_single_bit(config.cols)) {
+    throw std::invalid_argument(
+        "CmsConfig: rows must be in [1, 8] and cols a power of two (rows " +
+        std::to_string(config.rows) + ", cols " +
+        std::to_string(config.cols) + ")");
+  }
+  return config;
+}
 
 void CmsBase::ProcessBurst(ebpf::XdpContext* ctxs, u32 count,
                            ebpf::XdpAction* verdicts) {

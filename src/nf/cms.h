@@ -34,9 +34,10 @@ struct CmsConfig {
 // Shared query/update vocabulary so tests can treat variants generically.
 class CmsBase : public NetworkFunction {
  public:
-  explicit CmsBase(const CmsConfig& config) : config_(config) {
-    col_mask_ = config.cols - 1;
-  }
+  // Throws std::invalid_argument unless rows is in [1, 8] and cols is a
+  // power of two.
+  explicit CmsBase(const CmsConfig& config)
+      : config_(Checked(config)), col_mask_(config.cols - 1) {}
 
   virtual void Update(const void* key, std::size_t len, u32 inc) = 0;
   virtual u32 Query(const void* key, std::size_t len) = 0;
@@ -75,6 +76,9 @@ class CmsBase : public NetworkFunction {
  protected:
   CmsConfig config_;
   u32 col_mask_;
+
+ private:
+  static const CmsConfig& Checked(const CmsConfig& config);
 };
 
 class CmsEbpf : public CmsBase {

@@ -3,8 +3,6 @@
 #include <bit>
 #include <utility>
 
-#include "nf/chain.h"
-
 namespace nf {
 
 namespace {
@@ -20,8 +18,7 @@ inline u32 NthSetBit(u64 mask, u32 idx) {
 
 }  // namespace
 
-std::unique_ptr<FusedChain> FusedChain::Fuse(std::vector<FusedStage> stages,
-                                             u32 generation) {
+std::unique_ptr<FusedChain> FusedChain::Fuse(std::vector<FusedStage> stages) {
   if (!ebpf::FusionWithinTailCallBudget(static_cast<u32>(stages.size()))) {
     return nullptr;
   }
@@ -31,18 +28,11 @@ std::unique_ptr<FusedChain> FusedChain::Fuse(std::vector<FusedStage> stages,
       return nullptr;
     }
   }
-  return std::unique_ptr<FusedChain>(
-      new FusedChain(std::move(stages), generation));
+  return std::unique_ptr<FusedChain>(new FusedChain(std::move(stages)));
 }
 
-FusedChain::FusedChain(std::vector<FusedStage> stages, u32 generation)
-    : stages_(std::move(stages)), generation_(generation) {
-  for (const FusedStage& stage : stages_) {
-    if (stage.lowered) {
-      ++lowered_;
-    }
-  }
-}
+FusedChain::FusedChain(std::vector<FusedStage> stages)
+    : stages_(std::move(stages)) {}
 
 void FusedChain::ExecuteBurst(ebpf::XdpContext* ctxs, u32 count,
                               ebpf::XdpAction* verdicts) {
@@ -58,11 +48,12 @@ void FusedChain::BurstChunk(ebpf::XdpContext* ctxs, u32 count,
   const u32 depth = this->depth();
   ebpf::BeginFusedWalk(depth);
 
-  // The live mask is the whole partition/regroup machinery of the generic
+  // The live mask is the whole partition/regroup machinery of a tail-call
   // walk collapsed into one word: bit i set = original slot i is still on
   // the PASS path. Retiring a packet clears its bit and writes its final
   // verdict in place; survivors never move.
-  u64 live = count == kMaxNfBurst ? ~0ull : ((1ull << count) - 1ull);
+  const u64 all = count == kMaxNfBurst ? ~0ull : ((1ull << count) - 1ull);
+  u64 live = all;
   u64 keyed = 0;     // lanes whose cached 5-tuple is current
   u64 parse_ok = 0;  // subset of keyed: the parse succeeded
   for (u32 i = 0; i < count; ++i) {
@@ -71,7 +62,7 @@ void FusedChain::BurstChunk(ebpf::XdpContext* ctxs, u32 count,
 
   for (u32 s = 0; s < depth && live != 0; ++s) {
     FusedStage& st = stages_[s];
-    ChainStageStats& stats = *st.stats;
+    pktgen::StageStats& stats = *st.stats;
     const u64 entered = live;
     const u32 in_count = static_cast<u32>(std::popcount(entered));
     stats.in += in_count;
@@ -149,24 +140,31 @@ void FusedChain::BurstChunk(ebpf::XdpContext* ctxs, u32 count,
         }
       }
     } else {
-      // Non-lowered stage: gather the live contexts in arrival order and run
-      // the stage's own burst path — by the batching invariant this is
-      // exactly the compacted survivor burst the generic walk would feed it.
-      u32 m = 0;
-      u64 mm = live;
-      while (mm != 0) {
-        const u32 i = static_cast<u32>(std::countr_zero(mm));
-        mm &= mm - 1;
-        gather_slot_[m] = i;
-        gather_ctxs_[m] = work_[i];
-        ++m;
+      // Non-lowered stage: run the stage's own burst path over the live
+      // contexts in arrival order — by the batching invariant this equals
+      // the stage's scalar Process over the same survivors, in order. With
+      // every lane live, work_ already is that burst; otherwise gather it.
+      const bool dense = live == all;
+      u32 m = count;
+      if (!dense) {
+        m = 0;
+        u64 mm = live;
+        while (mm != 0) {
+          const u32 i = static_cast<u32>(std::countr_zero(mm));
+          mm &= mm - 1;
+          gather_slot_[m] = i;
+          gather_ctxs_[m] = work_[i];
+          ++m;
+        }
       }
-      st.nf->ProcessBurst(gather_ctxs_, m, gather_verdicts_);
+      st.nf->ProcessBurst(dense ? work_ : gather_ctxs_, m, gather_verdicts_);
       for (u32 j = 0; j < m; ++j) {
-        const u32 i = gather_slot_[j];
-        // Propagate context-field mutations, as the generic walk's live[]
-        // copies carry them stage to stage.
-        work_[i] = gather_ctxs_[j];
+        const u32 i = dense ? j : gather_slot_[j];
+        if (!dense) {
+          // Propagate context-field mutations to the later stages, as the
+          // tail-call walk hands one context from stage to stage.
+          work_[i] = gather_ctxs_[j];
+        }
         const ebpf::XdpAction action = gather_verdicts_[j];
         stats.Count(action);
         if (action != ebpf::XdpAction::kPass) {
@@ -185,8 +183,8 @@ void FusedChain::BurstChunk(ebpf::XdpContext* ctxs, u32 count,
     if constexpr (obs::kCompiledIn) {
       // Same scope, same entering count, and flow_of(idx) resolves the
       // idx-th entering packet in arrival order — so the sampler countdown
-      // advances identically to the generic walk and sampled events carry
-      // the same (scope, kind, flow) stream.
+      // advances as it does on the scalar walk and sampled events carry the
+      // same per-scope flow sequence.
       obs::Telemetry::Global().RecordBurst(
           st.scope, stage_ns, in_count, [&](u32 idx) {
             return obs::FlowOf(work_[NthSetBit(entered, idx)]);

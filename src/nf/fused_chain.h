@@ -1,36 +1,33 @@
-// Fused single-pass chain execution — the hot-chain specialization path.
+// Fused single-pass chain execution — the one burst executor of
+// ChainExecutor.
 //
-// The generic ChainExecutor burst walk treats every stage as an opaque
-// packet program: it hands the stage a compacted survivor burst, collects
-// verdicts, physically partitions survivors and regroups them for the next
-// stage. That is the faithful tail-call model, but for a chain that is hot
-// and structurally stable it re-derives per-stage configuration and re-walks
-// the packet path on every burst — the abstraction tax Kops removes by
-// compiling an eBPF chain into one native operation.
+// Walking a chain stage by stage treats every stage as an opaque packet
+// program that re-parses the packet and resolves its own configuration on
+// every call — the abstraction tax Kops removes by compiling an eBPF chain
+// into one native operation.
 //
-// FusedChain is the repro-scale analogue of that compilation step. At
-// promotion time the chain's per-stage config is constant-folded into a flat
-// FusedStage array (stage pointer, telemetry scope id, stats slot, observed
-// per-stage latency, and — where the stage supports it — a key-level
-// lowering of its packet path). Execution is then a single stage-major pass
+// FusedChain is the repro-scale analogue of that compilation step.
+// ChainExecutor folds its stage set into a flat FusedStage array (stage
+// pointer, telemetry scope id, stats slot and — where the stage supports
+// it — a key-level lowering of its packet path) at Load() and again at the
+// commit of every stage edit. Execution is then a single stage-major pass
 // per burst that propagates a per-burst verdict BITMASK through all stages
 // instead of partitioning and regrouping:
 //
 //  * Lowered stages (FusedKeyOp: parse -> membership decision) run over
 //    5-tuple keys parsed once per packet per fusion window, through the
-//    variant's batched lookup (cross-packet prefetch). The generic walk can
-//    never do this — it only sees Process()/ProcessBurst() packet programs.
+//    variant's batched lookup (cross-packet prefetch).
 //  * Non-lowered stages fall back to the stage's own ProcessBurst over the
 //    gathered live contexts in arrival order, which by the repo-wide
 //    batching invariant (ProcessBurst == scalar Process, bit-identical) is
-//    exactly what the generic partition walk feeds them. Any such stage may
-//    rewrite frame bytes, so cached keys are conservatively invalidated.
+//    exactly the survivor sequence the tail-call walk feeds them. Any such
+//    stage may rewrite frame bytes, so cached keys are conservatively
+//    invalidated.
 //
-// Verdicts, per-stage ChainStageStats, and the sampled obs event stream are
-// bit-identical to the generic walk by construction; the differential suite
-// in tests/test_fused_chain.cc enforces this at every depth 1..8. The
-// generic walk stays the semantic oracle: scalar Process() always takes the
-// tail-call path, and any chain reconfiguration demotes back to it.
+// Verdicts, per-stage StageStats counters, and the sampled obs flow
+// sequence equal the scalar tail-call walk (ChainExecutor::Process), which
+// is the semantic oracle; the differential suite in
+// tests/test_fused_chain.cc enforces this at every depth 1..8.
 //
 // Tail-call budget: a fused burst stands in for one complete walk of
 // `depth` programs per packet. Fuse() refuses chains outside
@@ -48,49 +45,26 @@
 #include "ebpf/prog_array.h"
 #include "nf/nf_interface.h"
 #include "obs/telemetry.h"
+#include "pktgen/pipeline.h"
 
 namespace nf {
 
-struct ChainStageStats;  // chain.h (which includes this header)
-
-// Promotion thresholds for the obs-driven fusion state machine (see
-// ChainExecutor::EnableFusion). A chain promotes only after it has stayed
-// structurally stable for `hot_bursts` consecutive bursts AND the
-// stage-stats plane accounts for at least `min_packets` packets since the
-// last reconfiguration — "hot and stable", both judged from observed
-// traffic, never from configuration alone.
-struct FusionPolicy {
-  u32 hot_bursts = 32;
-  u64 min_packets = 1024;
-};
-
-// Fusion lifecycle counters, exported next to stage_stats.
+// Fused-executor counters, exported next to stage_stats.
 struct FusionStats {
-  u64 promotions = 0;
-  u64 demotions = 0;
-  u64 fused_bursts = 0;
+  u64 fused_bursts = 0;  // ProcessBurst calls
   u64 fused_packets = 0;
-  u64 generic_bursts = 0;
-  // Structural generation: bumped on every reconfiguration (Load, stage
-  // replacement, fusion disable). A FusedChain is valid for exactly one
-  // generation.
+  u64 generic_bursts = 0;  // always 0; the benchmark is its only reader
+  u64 demotions = 0;       // always 0; the benchmark is its only reader
+  // Fold generation: bumped each time Load() or a committed stage edit
+  // folds a new fused program. A rejected or faulted edit leaves it as is.
   u32 generation = 0;
 };
 
-// kControl obs-event codes emitted on the "<chain>/fused" scope.
-inline constexpr u32 kFusionPromoteCode = 1;
-inline constexpr u32 kFusionDemoteCode = 2;
-
 // One constant-folded stage of a fused chain.
 struct FusedStage {
-  NetworkFunction* nf = nullptr;      // resolved stage pointer
-  u16 scope = obs::kInvalidScope;     // telemetry scope id (folded at fusion)
-  ChainStageStats* stats = nullptr;   // the chain's per-stage counter slot
-  // Burst-average ns/pkt observed by the telemetry plane up to fusion time;
-  // 0 when the stage was never sampled. Attribution constant only — lets
-  // consumers of FusionStats reason about where a fused walk spends time
-  // without re-deriving it from live histograms.
-  u64 expected_ns = 0;
+  NetworkFunction* nf = nullptr;        // resolved stage pointer
+  u16 scope = obs::kInvalidScope;       // telemetry scope id
+  pktgen::StageStats* stats = nullptr;  // the chain's per-stage counter slot
   bool lowered = false;
   // Valid when `lowered`: the stage's batched key-level membership op
   // (FusedKeyOp contract in nf_interface.h).
@@ -111,8 +85,7 @@ class FusedChain {
   // Builds the fused program from constant-folded stages. Returns nullptr
   // when the depth falls outside the tail-call budget — the shapes Load()
   // would have rejected must stay unreachable through fusion too.
-  static std::unique_ptr<FusedChain> Fuse(std::vector<FusedStage> stages,
-                                          u32 generation);
+  static std::unique_ptr<FusedChain> Fuse(std::vector<FusedStage> stages);
 
   FusedChain(const FusedChain&) = delete;
   FusedChain& operator=(const FusedChain&) = delete;
@@ -123,19 +96,14 @@ class FusedChain {
                     ebpf::XdpAction* verdicts);
 
   u32 depth() const { return static_cast<u32>(stages_.size()); }
-  u32 generation() const { return generation_; }
-  u32 lowered_stages() const { return lowered_; }
-  const FusedStage& stage(u32 i) const { return stages_[i]; }
 
  private:
-  FusedChain(std::vector<FusedStage> stages, u32 generation);
+  explicit FusedChain(std::vector<FusedStage> stages);
 
   void BurstChunk(ebpf::XdpContext* ctxs, u32 count,
                   ebpf::XdpAction* verdicts);
 
   std::vector<FusedStage> stages_;
-  u32 generation_;
-  u32 lowered_ = 0;
 
   // Persistent per-burst scratch (single-threaded, like the chain's stats):
   // hoisted out of the hot path, and keys_ stays initialized across bursts

@@ -205,7 +205,7 @@ ReconfigResult ChainReconfig::CommitSwapLocked(
   if (!replaced.ok) {
     // ReplaceStage fails before committing anything (verification or the
     // prog-array slot update — e.g. the injected helper.prog_array_update
-    // fault), so the chain, its programs, and any fused program are exactly
+    // fault), so the chain, its programs, and its fused program are exactly
     // as before the call.
     ++stats_.swaps_rolled_back;
     RecordControlLocked(kReconfigSwapRollbackCode, index);

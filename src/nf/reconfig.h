@@ -15,7 +15,9 @@
 //    program set through the prog array at the quiescent point;
 //  * a failed operation (verification, typed construction error, injected
 //    commit or state-transfer fault) rolls back with the chain bit-identical
-//    to its pre-call state — including a live fused program.
+//    to its pre-call state — including its fused program and generation;
+//  * a committed edit re-folds the fused program inside the guard, so the
+//    next burst runs a program folded from the new stage set.
 //
 // Hot swap replaces one stage with a replacement NF built through the
 // registry (SwapNf) or supplied directly (SwapNfWith). The replacement is
@@ -87,8 +89,8 @@ struct ReconfigStats {
   u64 last_swap_ns = 0;     // request-to-commit latency of the last swap
 };
 
-// kControl obs-event codes emitted on the "<chain>/reconfig" scope
-// (continuing the fused-chain code space: 1 = promote, 2 = demote).
+// kControl obs-event codes emitted on the "<chain>/reconfig" scope. Codes 1
+// and 2 stay unused, so event logs recorded with them keep one meaning.
 inline constexpr u32 kReconfigSwapBeginCode = 3;
 inline constexpr u32 kReconfigSwapCommitCode = 4;
 inline constexpr u32 kReconfigSwapRollbackCode = 5;

@@ -2,11 +2,26 @@
 
 #include "nf/nf_registry.h"
 
+#include <bit>
+#include <stdexcept>
+#include <string>
+
 #include "core/hash.h"
 #include "core/multihash_inl.h"
 #include "core/post_hash.h"
 
 namespace nf {
+
+const VbfConfig& VbfBase::Checked(const VbfConfig& config) {
+  if (config.rows < 1 || config.rows > 8 ||
+      !std::has_single_bit(config.positions)) {
+    throw std::invalid_argument(
+        "VbfConfig: rows must be in [1, 8] and positions a power of two "
+        "(rows " + std::to_string(config.rows) + ", positions " +
+        std::to_string(config.positions) + ")");
+  }
+  return config;
+}
 
 std::optional<FusedKeyOp> VbfBase::LowerToKeyOp() {
   FusedKeyOp op;

@@ -27,8 +27,10 @@ struct VbfConfig {
 
 class VbfBase : public NetworkFunction {
  public:
+  // Throws std::invalid_argument unless rows is in [1, 8] and positions is
+  // a power of two.
   explicit VbfBase(const VbfConfig& config)
-      : config_(config), pos_mask_(config.positions - 1) {}
+      : config_(Checked(config)), pos_mask_(config.positions - 1) {}
 
   virtual void AddToSet(const void* key, std::size_t len, u32 set_id) = 0;
   // Bit i of the result: key possibly belongs to set i.
@@ -69,6 +71,9 @@ class VbfBase : public NetworkFunction {
  protected:
   VbfConfig config_;
   u32 pos_mask_;
+
+ private:
+  static const VbfConfig& Checked(const VbfConfig& config);
 };
 
 class VbfEbpf : public VbfBase {

@@ -43,6 +43,7 @@ ObsReport CollectObsReport(Telemetry& telemetry, const FlowSampler* sampler) {
   report.sample_every = telemetry.sample_every();
   report.ring_dropped = telemetry.ring().dropped_events();
   report.control_events = telemetry.control_events();
+  report.scopes_refused = telemetry.scopes_refused();
   const std::vector<std::string> names = telemetry.ScopeNames();
   for (std::size_t id = 0; id < names.size(); ++id) {
     const LatencyHist hist = telemetry.Snapshot(static_cast<u16>(id));
@@ -66,14 +67,15 @@ ObsReport CollectObsReport(Telemetry& telemetry, const FlowSampler* sampler) {
 
 std::string ObsReportJson(const ObsReport& report) {
   std::string out = "{";
-  char buf[224];
+  char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "\"compiled_in\": %s, \"enabled\": %s, \"sample_every\": %u, "
                 "\"ring_dropped\": %" PRIu64 ", \"control_events\": %" PRIu64
-                ", \"scopes\": [",
+                ", \"scopes_refused\": %" PRIu64 ", \"scopes\": [",
                 report.compiled_in ? "true" : "false",
                 report.enabled ? "true" : "false", report.sample_every,
-                report.ring_dropped, report.control_events);
+                report.ring_dropped, report.control_events,
+                report.scopes_refused);
   out += buf;
   for (std::size_t i = 0; i < report.scopes.size(); ++i) {
     const ObsScopeReport& scope = report.scopes[i];
@@ -129,9 +131,11 @@ void PrintObsReport(FILE* out, const ObsReport& report) {
   }
   std::fprintf(out,
                "telemetry: %s, 1/%u sampling, %" PRIu64
-               " ring event(s) dropped, %" PRIu64 " control event(s)\n",
+               " ring event(s) dropped, %" PRIu64 " control event(s), %" PRIu64
+               " scope name(s) refused\n",
                report.enabled ? "enabled" : "disabled", report.sample_every,
-               report.ring_dropped, report.control_events);
+               report.ring_dropped, report.control_events,
+               report.scopes_refused);
   for (const ObsScopeReport& scope : report.scopes) {
     std::fprintf(out,
                  "  %-28s samples=%" PRIu64 " avg=%" PRIu64 "ns p50<=%" PRIu64

@@ -30,7 +30,8 @@ struct ObsReport {
   bool enabled = false;
   u32 sample_every = 0;
   u64 ring_dropped = 0;
-  u64 control_events = 0;  // fusion + reconfiguration transitions emitted
+  u64 control_events = 0;  // reconfiguration transitions emitted
+  u64 scopes_refused = 0;  // scope names turned away by a full table
   std::vector<ObsScopeReport> scopes;  // registered scopes with samples > 0
   std::vector<nf::HkTopEntry> top_flows;
 };

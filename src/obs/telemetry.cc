@@ -27,6 +27,7 @@ u16 Telemetry::RegisterScope(const std::string& name) {
     }
   }
   if (scopes_.size() >= kMaxScopes) {
+    ++scopes_refused_;
     return kInvalidScope;
   }
   scopes_.push_back(name);

@@ -74,7 +74,7 @@ struct ObsEvent {
   u16 kind = kScalar;
   u32 flow = 0;  // flow id (src ip in the packet workloads); 0 = unknown.
                  // For kControl events this carries the transition code
-                 // instead (e.g. chain fusion promote/demote).
+                 // instead (e.g. a reconfiguration swap commit).
   u64 latency_ns = 0;
   u64 seq = 0;  // per-producer-thread sequence number
 };
@@ -101,6 +101,11 @@ class Telemetry {
   // Returns a stable id for `name`, registering it on first use. Returns
   // kInvalidScope when the scope table is full or telemetry is compiled out.
   u16 RegisterScope(const std::string& name);
+  // New names RegisterScope turned away because the table was full.
+  u64 scopes_refused() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return scopes_refused_;
+  }
   std::string ScopeName(u16 id) const;
   std::vector<std::string> ScopeNames() const;
 
@@ -148,7 +153,7 @@ class Telemetry {
   void RecordSample(u16 scope, u64 ns, u32 flow);
 
   // Emits a control-plane transition event (kControl) — e.g. a chain
-  // promoting to / demoting from its fused path. Control events are rare by
+  // reconfiguration committing or rolling back. Control events are rare by
   // construction, so they bypass the 1/N sampler: every transition is
   // visible in the event stream when telemetry is enabled. `code` rides in
   // the flow field, `value` in latency_ns; neither touches the histograms.
@@ -190,8 +195,8 @@ class Telemetry {
   // The event ring (for wiring up a RingbufConsumer / FlowSampler).
   ebpf::RingbufMap& ring() { return ring_; }
 
-  // Control-plane transitions emitted since start (fusion promote/demote,
-  // reconfiguration begin/commit/rollback). Counted at the emission point,
+  // Control-plane transitions emitted since start (reconfiguration
+  // begin/commit/rollback). Counted at the emission point,
   // so it includes events the ring dropped; the reconfig chaos harness
   // cross-checks its event log against this.
   u64 control_events() const {
@@ -222,6 +227,7 @@ class Telemetry {
   std::atomic<u32> sample_every_{1};
   mutable std::mutex mu_;  // guards scopes_
   std::vector<std::string> scopes_;
+  u64 scopes_refused_ = 0;
 };
 
 // RAII scalar-path sampler: decides at construction whether this event is

@@ -18,6 +18,7 @@
 #ifndef ENETSTL_PKTGEN_PIPELINE_H_
 #define ENETSTL_PKTGEN_PIPELINE_H_
 
+#include <string>
 #include <vector>
 
 #include "ebpf/program.h"
@@ -65,6 +66,45 @@ struct ThroughputStats {
         break;
       default:
         ++passed;
+        break;
+    }
+  }
+};
+
+// Per-stage verdict and time counters of a multi-stage program (an NF
+// chain). The chain executor keeps one per stage; a shard program exports
+// them through its finish hook, and MergeStageBreakdowns sums them by name.
+struct StageStats {
+  std::string name;
+  u64 in = 0;  // packets entering the stage
+  // Verdict histogram; `pass` is also the packets-out count (survivors).
+  u64 pass = 0;
+  u64 drop = 0;
+  u64 tx = 0;
+  u64 redirect = 0;
+  u64 aborted = 0;
+  // Stage time, accumulated on the burst path only (per-packet timing would
+  // distort the scalar latency measurements).
+  u64 ns = 0;
+
+  u64 out() const { return pass; }
+
+  void Count(ebpf::XdpAction action) {
+    switch (action) {
+      case ebpf::XdpAction::kPass:
+        ++pass;
+        break;
+      case ebpf::XdpAction::kDrop:
+        ++drop;
+        break;
+      case ebpf::XdpAction::kTx:
+        ++tx;
+        break;
+      case ebpf::XdpAction::kRedirect:
+        ++redirect;
+        break;
+      case ebpf::XdpAction::kAborted:
+        ++aborted;
         break;
     }
   }

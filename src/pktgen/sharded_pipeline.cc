@@ -51,13 +51,13 @@ u32 RssSlotForPacket(const Packet& packet, u32 table_size, u32 seed) {
   return RssFlowHash(tuple, seed) % table_size;
 }
 
-std::vector<ShardedPipeline::StageBreakdown> MergeStageBreakdowns(
+std::vector<StageStats> MergeStageBreakdowns(
     const std::vector<ShardedPipeline::ShardStats>& shards) {
-  std::vector<ShardedPipeline::StageBreakdown> merged;
+  std::vector<StageStats> merged;
   for (const ShardedPipeline::ShardStats& shard : shards) {
-    for (const ShardedPipeline::StageBreakdown& stage : shard.stages) {
-      ShardedPipeline::StageBreakdown* into = nullptr;
-      for (ShardedPipeline::StageBreakdown& m : merged) {
+    for (const StageStats& stage : shard.stages) {
+      StageStats* into = nullptr;
+      for (StageStats& m : merged) {
         if (m.name == stage.name) {
           into = &m;
           break;

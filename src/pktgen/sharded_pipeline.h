@@ -95,19 +95,6 @@ class ShardedPipeline {
     u32 rss_seed = 0;
   };
 
-  // Per-stage verdict/time breakdown a multi-stage shard program (e.g. an NF
-  // chain) exports through its finish hook; empty for plain handlers.
-  struct StageBreakdown {
-    std::string name;
-    u64 in = 0;  // packets entering the stage on this shard
-    u64 pass = 0;
-    u64 drop = 0;
-    u64 tx = 0;
-    u64 redirect = 0;
-    u64 aborted = 0;
-    u64 ns = 0;  // stage time accumulated on this shard's burst path
-  };
-
   struct ShardStats {
     u32 cpu = 0;
     u64 queue_depth = 0;        // distinct trace packets steered to this queue
@@ -119,8 +106,9 @@ class ShardedPipeline {
     // This worker tripped its "shard.kill.<cpu>" fault point mid-measurement
     // and was drained; its stats cover only the packets it served pre-fault.
     bool failed = false;
-    // Filled by the shard program's finish hook, if it installed one.
-    std::vector<StageBreakdown> stages;
+    // Per-stage counters a multi-stage shard program (e.g. an NF chain)
+    // exports through its finish hook; empty for plain handlers.
+    std::vector<StageStats> stages;
     // Flow-group (indirection-slot) churn on this shard.
     u32 slots_initial = 0;  // slots owned at the start barrier
     u32 slots_adopted = 0;  // slots adopted from handoff descriptors
@@ -151,7 +139,7 @@ class ShardedPipeline {
     // Per-stage counters merged across shards BY STAGE NAME (heterogeneous
     // shard programs keep their counters attributed to the right stage even
     // when stage positions differ between shards).
-    std::vector<StageBreakdown> total_stages;
+    std::vector<StageStats> total_stages;
     // Controller and handoff counters (all zero but `windows` on a static,
     // fault-free run).
     MigrationStats migration;
@@ -162,8 +150,8 @@ class ShardedPipeline {
 
   // A shard program: the burst handler plus an optional finish hook, invoked
   // on the coordinating thread after every worker has joined. Multi-stage
-  // programs export their per-stage counters into the shard's StageBreakdown
-  // there. The factory runs once per worker on the calling thread before the
+  // programs export their per-stage counters into ShardStats::stages there.
+  // The factory runs once per worker on the calling thread before the
   // workers start; the handler is invoked only from that worker's thread.
   // Build per-worker NF state there (the RSS model: each core owns its
   // replica or percpu shard) — sharing one non-thread-safe NF across workers
@@ -216,7 +204,7 @@ class ShardedPipeline {
 // order. Merging by name (not index) keeps counters correctly attributed
 // when shard programs are heterogeneous — e.g. shards running chains whose
 // stage positions differ.
-std::vector<ShardedPipeline::StageBreakdown> MergeStageBreakdowns(
+std::vector<StageStats> MergeStageBreakdowns(
     const std::vector<ShardedPipeline::ShardStats>& shards);
 
 }  // namespace pktgen

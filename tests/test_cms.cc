@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "ebpf/helper.h"
@@ -144,6 +145,29 @@ INSTANTIATE_TEST_SUITE_P(Variants, CmsAllVariants,
                                return "eNetSTL";
                            }
                          });
+
+// The multi-hash scratch holds eight lanes and columns are masked with
+// `cols - 1`, so a row count outside [1, 8] or a column count that is not a
+// power of two is refused at construction, in every variant.
+TEST(CmsRows, OutOfRangeGeometryIsRejectedInEveryVariant) {
+  for (const Kind kind : {Kind::kEbpf, Kind::kKernel, Kind::kEnetstl}) {
+    for (const u32 rows : {0u, 9u}) {
+      CmsConfig config;
+      config.rows = rows;
+      EXPECT_THROW(Make(kind, config), std::invalid_argument)
+          << "rows " << rows << " kind " << static_cast<int>(kind);
+    }
+    CmsConfig odd;
+    odd.cols = 3000;
+    EXPECT_THROW(Make(kind, odd), std::invalid_argument)
+        << "kind " << static_cast<int>(kind);
+    for (const u32 rows : {1u, 8u}) {
+      CmsConfig config;
+      config.rows = rows;
+      EXPECT_NO_THROW(Make(kind, config)) << "rows " << rows;
+    }
+  }
+}
 
 // With rows >= 3 all variants use the same lane-hash family, so the
 // estimates must agree exactly query-for-query.

@@ -1,15 +1,19 @@
-// Differential suite for the fused (hot-chain specialized) executor: fused
-// bursts must be bit-identical to the generic tail-call walk — verdicts,
-// per-stage counters, and the sampled obs event stream — across depths 1..8,
-// all variants, seeded traffic mixes (resident / non-resident / corrupted
-// frames), burst shapes, and fault-injection-degraded structures. Plus the
-// promotion/demotion state machine: obs-driven promotion thresholds, and
-// demotion-before-next-burst on every reconfiguration.
+// Differential suite for the fused executor, the chain's one burst path:
+// fused bursts must match the scalar tail-call walk (the semantic oracle) —
+// verdicts and per-stage counters for every packet, and each telemetry
+// scope's sampled flow sequence — across depths 1..8, all variants, seeded
+// traffic mixes (resident / non-resident / corrupted frames), burst shapes,
+// a non-lowered stage mid-chain and fault-injection-degraded structures.
+// Plus the fold lifecycle: Load() folds the program, a committed edit
+// re-folds it before the next burst, and a rejected edit keeps the program
+// and its generation.
 #include "nf/fused_chain.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,19 +45,10 @@ ebpf::XdpContext ContextFor(pktgen::Packet& packet) {
   return ebpf::XdpContext{packet.frame, packet.frame + ebpf::kFrameSize, 0};
 }
 
-// Builds a deterministic primed chain and, when `fused`, promotes it
-// immediately (TryPromoteNow bypasses the hotness gate but not the budget
-// eligibility check).
+// Builds a deterministic primed chain; Load() has folded its fused program.
 std::unique_ptr<ChainExecutor> MakeChain(const std::vector<std::string>& names,
-                                         Variant v, bool fused) {
-  auto chain = MakeBenchChain(names, v, Env());
-  if (chain != nullptr && fused) {
-    chain->EnableFusion();
-    if (!chain->TryPromoteNow()) {
-      return nullptr;
-    }
-  }
-  return chain;
+                                         Variant v) {
+  return MakeBenchChain(names, v, Env());
 }
 
 // Seeded op mix: uniform packets over a flow window [first, first + count),
@@ -75,8 +70,8 @@ std::vector<pktgen::Packet> MakeMix(u32 first_flow, u32 flow_count,
   return pkts;
 }
 
-// Per-stage counters without the timing field (fused and generic walks read
-// the clock differently, everything else must match exactly).
+// Per-stage counters without the timing field (the scalar walk does not
+// time stages; everything else must match exactly).
 struct StageCounts {
   u64 in, pass, drop, tx, redirect, aborted;
   bool operator==(const StageCounts& o) const {
@@ -87,18 +82,18 @@ struct StageCounts {
 
 std::vector<StageCounts> Counts(const ChainExecutor& chain) {
   std::vector<StageCounts> out;
-  for (const ChainStageStats& s : chain.stage_stats()) {
+  for (const pktgen::StageStats& s : chain.stage_stats()) {
     out.push_back({s.in, s.pass, s.drop, s.tx, s.redirect, s.aborted});
   }
   return out;
 }
 
 // Drives `chain` over `pkts` in bursts of `burst`, returning the verdicts.
-// Each call deep-copies the packets so frame state never leaks between the
-// generic and fused runs.
+// Each call deep-copies the packets so frame state never leaks between
+// runs.
 std::vector<ebpf::XdpAction> RunChain(ChainExecutor& chain,
-                                 const std::vector<pktgen::Packet>& pkts,
-                                 u32 burst) {
+                                      const std::vector<pktgen::Packet>& pkts,
+                                      u32 burst) {
   std::vector<pktgen::Packet> copies = pkts;
   std::vector<ebpf::XdpAction> verdicts(copies.size());
   std::vector<ebpf::XdpContext> ctxs(copies.size());
@@ -113,45 +108,53 @@ std::vector<ebpf::XdpAction> RunChain(ChainExecutor& chain,
   return verdicts;
 }
 
-// Core differential check: twin chains, one generic, one fused; identical
-// traffic; verdicts and per-stage counters must match bit for bit. Also
-// pins both to the scalar tail-call oracle on a third twin.
-void ExpectFusedMatchesGeneric(const std::vector<std::string>& names,
-                               Variant v,
-                               const std::vector<pktgen::Packet>& pkts,
-                               u32 burst, const std::string& label) {
-  auto generic = MakeChain(names, v, false);
-  auto fused = MakeChain(names, v, true);
-  auto oracle = MakeChain(names, v, false);
-  ASSERT_NE(generic, nullptr) << label;
-  ASSERT_NE(fused, nullptr) << label;
-  ASSERT_NE(oracle, nullptr) << label;
-  ASSERT_TRUE(fused->fused()) << label;
-
-  const std::vector<ebpf::XdpAction> generic_verdicts =
-      RunChain(*generic, pkts, burst);
-  const std::vector<ebpf::XdpAction> fused_verdicts = RunChain(*fused, pkts, burst);
-  ASSERT_TRUE(fused->fused()) << label << " (demoted mid-traffic?)";
-
+// The oracle: one scalar tail-call walk per packet, in arrival order.
+std::vector<ebpf::XdpAction> RunScalar(
+    ChainExecutor& chain, const std::vector<pktgen::Packet>& pkts) {
+  std::vector<ebpf::XdpAction> verdicts(pkts.size());
   for (std::size_t i = 0; i < pkts.size(); ++i) {
-    ASSERT_EQ(generic_verdicts[i], fused_verdicts[i])
-        << label << " packet " << i;
-  }
-  EXPECT_EQ(Counts(*generic), Counts(*fused)) << label;
-
-  // Scalar oracle spot check (every 7th packet keeps the test fast).
-  for (std::size_t i = 0; i < pkts.size(); i += 7) {
     pktgen::Packet copy = pkts[i];
     ebpf::XdpContext ctx = ContextFor(copy);
-    ASSERT_EQ(oracle->Process(ctx), fused_verdicts[i])
-        << label << " scalar oracle, packet " << i;
+    verdicts[i] = chain.Process(ctx);
   }
+  return verdicts;
+}
+
+// Core differential check: twin chains, one driven through bursts, one
+// through the scalar walk, over identical traffic; verdicts and per-stage
+// counters must match for every packet.
+void ExpectBurstMatchesScalar(ChainExecutor& burst_chain,
+                              ChainExecutor& scalar_chain,
+                              const std::vector<pktgen::Packet>& pkts,
+                              u32 burst, const std::string& label) {
+  const std::vector<ebpf::XdpAction> burst_verdicts =
+      RunChain(burst_chain, pkts, burst);
+  const std::vector<ebpf::XdpAction> scalar_verdicts =
+      RunScalar(scalar_chain, pkts);
+  for (std::size_t i = 0; i < pkts.size(); ++i) {
+    ASSERT_EQ(burst_verdicts[i], scalar_verdicts[i])
+        << label << " packet " << i;
+  }
+  EXPECT_EQ(Counts(burst_chain), Counts(scalar_chain)) << label;
+}
+
+void ExpectBurstMatchesScalar(const std::vector<std::string>& names,
+                              Variant v,
+                              const std::vector<pktgen::Packet>& pkts,
+                              u32 burst, const std::string& label) {
+  auto burst_chain = MakeChain(names, v);
+  auto scalar_chain = MakeChain(names, v);
+  ASSERT_NE(burst_chain, nullptr) << label;
+  ASSERT_NE(scalar_chain, nullptr) << label;
+  ExpectBurstMatchesScalar(*burst_chain, *scalar_chain, pkts, burst, label);
 }
 
 // ---------------------------------------------------------------------------
 // Differential: depths x variants x op mixes x burst shapes
 // ---------------------------------------------------------------------------
 
+// Every case below compares the fused burst walk with the scalar tail-call
+// walk on a twin chain.
 TEST(FusedChainDifferential, MatchesGenericAcrossDepthsVariantsAndMixes) {
   const Variant kVariants[] = {Variant::kEbpf, Variant::kKernel,
                                Variant::kEnetstl};
@@ -174,7 +177,7 @@ TEST(FusedChainDifferential, MatchesGenericAcrossDepthsVariantsAndMixes) {
         const u32 seed = 1000 * depth + 10 * static_cast<u32>(v) + mix.first;
         const std::vector<pktgen::Packet> pkts =
             MakeMix(mix.first, mix.flows, 256, seed, mix.corrupt);
-        ExpectFusedMatchesGeneric(
+        ExpectBurstMatchesScalar(
             names, v, pkts, 32,
             "depth " + std::to_string(depth) + " " +
                 std::string(VariantName(v)) + " " + mix.name);
@@ -187,14 +190,14 @@ TEST(FusedChainDifferential, BurstShapesIncludingOversized) {
   const std::vector<std::string> names = StageNames(4);
   const std::vector<pktgen::Packet> pkts = MakeMix(1024, 3000, 417, 21, 11);
   for (const u32 burst : {1u, 7u, 32u, kMaxNfBurst, 3 * kMaxNfBurst + 7}) {
-    ExpectFusedMatchesGeneric(names, Variant::kEnetstl, pkts, burst,
-                              "burst " + std::to_string(burst));
+    ExpectBurstMatchesScalar(names, Variant::kEnetstl, pkts, burst,
+                             "burst " + std::to_string(burst));
   }
 }
 
 // A stateful, non-lowered stage (heavykeeper mutates its sketch on every
 // packet) between two lowered membership stages: the fused walk must feed it
-// the exact survivor sequence the generic walk does, and re-parse keys after
+// the exact survivor sequence the scalar walk does, and re-parse keys after
 // it (the stage may touch frames).
 TEST(FusedChainDifferential, MixedChainWithNonLoweredStage) {
   const std::vector<std::string> names = {"cuckoo-filter", "heavykeeper",
@@ -202,11 +205,11 @@ TEST(FusedChainDifferential, MixedChainWithNonLoweredStage) {
   const std::vector<pktgen::Packet> pkts = MakeMix(1500, 2500, 384, 33, 17);
   for (const Variant v : {Variant::kEbpf, Variant::kKernel,
                           Variant::kEnetstl}) {
-    ExpectFusedMatchesGeneric(names, v, pkts, 32,
-                              "mixed " + std::string(VariantName(v)));
+    ExpectBurstMatchesScalar(names, v, pkts, 32,
+                             "mixed " + std::string(VariantName(v)));
   }
   // Sanity: heavykeeper must really be the non-lowered one.
-  auto chain = MakeChain(names, Variant::kEnetstl, true);
+  auto chain = MakeChain(names, Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   EXPECT_FALSE(chain->stage(1).LowerToKeyOp().has_value());
   EXPECT_TRUE(chain->stage(0).LowerToKeyOp().has_value());
@@ -244,20 +247,14 @@ TEST(FusedChainDifferential, DegradedFilterViaFaultInjectionMatches) {
     // have no fault point, this degrades construction only).
     inj.Reset();
     arm.arm(inj);
-    auto generic = MakeChain(names, Variant::kEnetstl, false);
+    auto burst_chain = MakeChain(names, Variant::kEnetstl);
     inj.Reset();
     arm.arm(inj);
-    auto fused = MakeChain(names, Variant::kEnetstl, true);
+    auto scalar_chain = MakeChain(names, Variant::kEnetstl);
     inj.Reset();
-    ASSERT_NE(generic, nullptr);
-    ASSERT_NE(fused, nullptr);
-
-    const std::vector<ebpf::XdpAction> gv = RunChain(*generic, pkts, 32);
-    const std::vector<ebpf::XdpAction> fv = RunChain(*fused, pkts, 32);
-    for (std::size_t i = 0; i < pkts.size(); ++i) {
-      ASSERT_EQ(gv[i], fv[i]) << arm.name << " packet " << i;
-    }
-    EXPECT_EQ(Counts(*generic), Counts(*fused)) << arm.name;
+    ASSERT_NE(burst_chain, nullptr);
+    ASSERT_NE(scalar_chain, nullptr);
+    ExpectBurstMatchesScalar(*burst_chain, *scalar_chain, pkts, 32, arm.name);
   }
 }
 
@@ -266,13 +263,15 @@ TEST(FusedChainDifferential, DegradedFilterViaFaultInjectionMatches) {
 // ---------------------------------------------------------------------------
 
 struct SampledEvent {
-  obs::u16 scope;
   obs::u16 kind;
   u32 flow;
 };
 
-std::vector<SampledEvent> DrainSampled(obs::Telemetry& telemetry) {
-  std::vector<SampledEvent> events;
+// Sampled packet events grouped by scope, each scope's in emission order.
+// Control events do not describe packets and are skipped.
+std::map<obs::u16, std::vector<SampledEvent>> DrainSampled(
+    obs::Telemetry& telemetry) {
+  std::map<obs::u16, std::vector<SampledEvent>> events;
   telemetry.ring().Consume([&](const void* data, ebpf::u32 len) {
     if (len != sizeof(obs::ObsEvent)) {
       return;
@@ -280,18 +279,34 @@ std::vector<SampledEvent> DrainSampled(obs::Telemetry& telemetry) {
     obs::ObsEvent event;
     std::memcpy(&event, data, sizeof(event));
     if (event.kind == obs::ObsEvent::kControl) {
-      return;  // promote/demote markers are fused-path-only by design
+      return;
     }
-    events.push_back({event.scope, event.kind, event.flow});
+    events[event.scope].push_back({event.kind, event.flow});
   });
   return events;
 }
 
-// The fused walk must advance the 1/N sampler identically to the generic
-// walk: same per-stage event counts, same (scope, kind, flow) sequence —
-// only latency values (and hence histogram bucket shapes) may differ, since
-// being faster is the point. Sample-every=1 makes the comparison exact and
-// independent of the thread-local countdown's starting phase.
+std::vector<u64> SampleCounts(obs::Telemetry& telemetry,
+                              ChainExecutor& chain) {
+  std::vector<u64> samples;
+  for (u32 s = 0; s < chain.depth(); ++s) {
+    // Twin chains share scope ids (same chain/stage names), so counts taken
+    // between runs need a reset, not separate scopes.
+    samples.push_back(
+        telemetry
+            .Snapshot(telemetry.RegisterScope(
+                "chain/" + std::to_string(s) + ":" +
+                std::string(chain.stage(s).name())))
+            .samples);
+  }
+  return samples;
+}
+
+// Within one scope, the fused burst walk and the scalar walk both emit the
+// packets entering that stage in arrival order, so at sample-every=1 each
+// scope's flow sequence and sample count must match; only the event kind
+// differs (kBurst vs kScalar), and latency values may, since being faster
+// is the point.
 TEST(FusedChainObs, SampledEventStreamMatchesGeneric) {
   if constexpr (!obs::kCompiledIn) {
     GTEST_SKIP() << "observability compiled out";
@@ -300,194 +315,166 @@ TEST(FusedChainObs, SampledEventStreamMatchesGeneric) {
   const std::vector<std::string> names = StageNames(3);
   const std::vector<pktgen::Packet> pkts = MakeMix(1024, 3000, 192, 91, 13);
 
-  auto generic = MakeChain(names, Variant::kEnetstl, false);
-  auto fused = MakeChain(names, Variant::kEnetstl, true);
-  ASSERT_NE(generic, nullptr);
-  ASSERT_NE(fused, nullptr);
+  auto scalar_chain = MakeChain(names, Variant::kEnetstl);
+  auto burst_chain = MakeChain(names, Variant::kEnetstl);
+  ASSERT_NE(scalar_chain, nullptr);
+  ASSERT_NE(burst_chain, nullptr);
 
   telemetry.Enable(1);
   (void)DrainSampled(telemetry);  // discard anything older
 
   telemetry.ResetCounts();
-  (void)RunChain(*generic, pkts, 32);
-  const std::vector<SampledEvent> generic_events = DrainSampled(telemetry);
-  std::vector<u64> generic_samples;
-  for (u32 s = 0; s < generic->depth(); ++s) {
-    // Twin chains share scope ids (same chain/stage names), so snapshots
-    // taken between runs need a reset, not separate scopes.
-    generic_samples.push_back(
-        telemetry
-            .Snapshot(obs::Telemetry::Global().RegisterScope(
-                "chain/" + std::to_string(s) + ":" +
-                std::string(generic->stage(s).name())))
-            .samples);
-  }
+  (void)RunScalar(*scalar_chain, pkts);
+  const auto scalar_events = DrainSampled(telemetry);
+  const std::vector<u64> scalar_samples =
+      SampleCounts(telemetry, *scalar_chain);
 
   telemetry.ResetCounts();
-  (void)RunChain(*fused, pkts, 32);
-  const std::vector<SampledEvent> fused_events = DrainSampled(telemetry);
-  std::vector<u64> fused_samples;
-  for (u32 s = 0; s < fused->depth(); ++s) {
-    fused_samples.push_back(
-        telemetry
-            .Snapshot(obs::Telemetry::Global().RegisterScope(
-                "chain/" + std::to_string(s) + ":" +
-                std::string(fused->stage(s).name())))
-            .samples);
-  }
+  (void)RunChain(*burst_chain, pkts, 32);
+  const auto burst_events = DrainSampled(telemetry);
+  const std::vector<u64> burst_samples = SampleCounts(telemetry, *burst_chain);
   telemetry.Disable();
 
-  ASSERT_EQ(generic_events.size(), fused_events.size());
-  for (std::size_t i = 0; i < generic_events.size(); ++i) {
-    EXPECT_EQ(generic_events[i].scope, fused_events[i].scope) << i;
-    EXPECT_EQ(generic_events[i].kind, fused_events[i].kind) << i;
-    EXPECT_EQ(generic_events[i].flow, fused_events[i].flow) << i;
+  ASSERT_EQ(scalar_events.size(), names.size());
+  ASSERT_EQ(burst_events.size(), names.size());
+  for (const auto& [scope, scalar] : scalar_events) {
+    const auto it = burst_events.find(scope);
+    ASSERT_NE(it, burst_events.end()) << "scope " << scope;
+    const std::vector<SampledEvent>& burst = it->second;
+    ASSERT_EQ(scalar.size(), burst.size()) << "scope " << scope;
+    for (std::size_t i = 0; i < scalar.size(); ++i) {
+      EXPECT_EQ(scalar[i].kind, obs::ObsEvent::kScalar) << i;
+      EXPECT_EQ(burst[i].kind, obs::ObsEvent::kBurst) << i;
+      EXPECT_EQ(scalar[i].flow, burst[i].flow)
+          << "scope " << scope << " event " << i;
+    }
   }
-  EXPECT_EQ(generic_samples, fused_samples);
+  EXPECT_EQ(scalar_samples, burst_samples);
 }
 
-TEST(FusedChainObs, PromotionAndDemotionEmitControlEvents) {
-  if constexpr (!obs::kCompiledIn) {
-    GTEST_SKIP() << "observability compiled out";
-  }
+// Folding is not a control-plane transition: a loaded chain registers one
+// scope per stage and nothing else, and a committed edit that re-folds the
+// program emits no control event of its own.
+TEST(FusedChainObs, FoldingRegistersNoScopeAndEmitsNoControlEvent) {
   obs::Telemetry& telemetry = obs::Telemetry::Global();
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, false);
+  auto chain = MakeBenchChain(StageNames(2), Variant::kEnetstl, Env(),
+                              "fold-scopes");
   ASSERT_NE(chain, nullptr);
-  const obs::u16 scope = telemetry.RegisterScope("chain/fused");
+  u32 chain_scopes = 0;
+  for (const std::string& name : telemetry.ScopeNames()) {
+    chain_scopes += name.rfind("fold-scopes/", 0) == 0;
+  }
+  EXPECT_EQ(chain_scopes, obs::kCompiledIn ? chain->depth() : 0u);
 
   telemetry.Enable(1);
-  telemetry.ring().Consume([](const void*, ebpf::u32) {});  // drain
-  chain->EnableFusion();
-  ASSERT_TRUE(chain->TryPromoteNow());
-  chain->DisableFusion();
+  const u64 controls_before = telemetry.control_events();
+  ASSERT_TRUE(chain
+                  ->ReplaceStage(1, NfRegistry::Global().Create(
+                                        "vbf-membership", Variant::kEnetstl))
+                  .ok);
+  EXPECT_EQ(telemetry.control_events(), controls_before);
   telemetry.Disable();
-
-  std::vector<obs::ObsEvent> controls;
-  telemetry.ring().Consume([&](const void* data, ebpf::u32 len) {
-    if (len != sizeof(obs::ObsEvent)) {
-      return;
-    }
-    obs::ObsEvent event;
-    std::memcpy(&event, data, sizeof(event));
-    if (event.kind == obs::ObsEvent::kControl && event.scope == scope) {
-      controls.push_back(event);
-    }
-  });
-  ASSERT_EQ(controls.size(), 2u);
-  EXPECT_EQ(controls[0].flow, kFusionPromoteCode);
-  EXPECT_EQ(controls[1].flow, kFusionDemoteCode);
 }
 
 // ---------------------------------------------------------------------------
-// Promotion / demotion state machine
+// Fold lifecycle: built at Load(), rebuilt at every committed edit
 // ---------------------------------------------------------------------------
 
-TEST(FusedChainStateMachine, PromotionIsObsDrivenByHotStableTraffic) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, false);
-  ASSERT_NE(chain, nullptr);
-  FusionPolicy policy;
-  policy.hot_bursts = 4;
-  policy.min_packets = 4 * 32;
-  chain->EnableFusion(policy);
-  EXPECT_FALSE(chain->fused());
+TEST(FusedChainCommit, LoadFoldsTheChainBeforeTheFirstBurst) {
+  ChainExecutor unloaded("unloaded");
+  unloaded.AddStage(NfRegistry::Global().Create("vbf-membership",
+                                                Variant::kEnetstl));
+  EXPECT_EQ(unloaded.fused_program(), nullptr);
+  EXPECT_EQ(unloaded.fusion_stats().generation, 0u);
 
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
+  ASSERT_NE(chain, nullptr);
+  ASSERT_NE(chain->fused_program(), nullptr);
+  EXPECT_EQ(chain->fused_program()->depth(), 2u);
+  EXPECT_EQ(chain->fusion_stats().generation, 1u);
+
+  // The very first burst runs the fused program — no warm-up, no
+  // thresholds — and matches the scalar walk.
   const std::vector<pktgen::Packet> pkts = MakeMix(0, 2048, 32, 7);
-  // Three bursts: hot_bursts not reached yet.
-  for (int i = 0; i < 3; ++i) {
-    (void)RunChain(*chain, pkts, 32);
-    EXPECT_FALSE(chain->fused()) << "burst " << i;
-  }
-  // The 4th burst satisfies both thresholds; the 5th runs fused.
-  (void)RunChain(*chain, pkts, 32);
-  EXPECT_TRUE(chain->fused());
-  EXPECT_EQ(chain->fusion_stats().promotions, 1u);
-  const u64 generic_bursts = chain->fusion_stats().generic_bursts;
-  (void)RunChain(*chain, pkts, 32);
-  EXPECT_EQ(chain->fusion_stats().generic_bursts, generic_bursts);
-  EXPECT_GT(chain->fusion_stats().fused_bursts, 0u);
+  auto oracle = MakeChain(StageNames(2), Variant::kEnetstl);
+  ASSERT_NE(oracle, nullptr);
+  ExpectBurstMatchesScalar(*chain, *oracle, pkts, 32, "first burst");
+  EXPECT_EQ(chain->fusion_stats().fused_bursts, 1u);
+  EXPECT_EQ(chain->fusion_stats().fused_packets, 32u);
 }
 
-TEST(FusedChainStateMachine, PromotionNeverFiresWithoutArming) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, false);
+// A committed replacement re-folds before the next burst: a new program
+// object, the next generation, and the next burst runs the new stage.
+TEST(FusedChainCommit, ReplaceStageRefoldsBeforeNextBurst) {
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
-  EXPECT_FALSE(chain->TryPromoteNow());
-  const std::vector<pktgen::Packet> pkts = MakeMix(0, 2048, 64, 9);
-  for (int i = 0; i < 64; ++i) {
-    (void)RunChain(*chain, pkts, 32);
-  }
-  EXPECT_FALSE(chain->fused());
-  EXPECT_EQ(chain->fusion_stats().promotions, 0u);
-}
-
-// The acceptance-critical property: reconfiguring a fused chain mid-traffic
-// demotes it before the next burst, and the post-reconfig traffic takes the
-// generic walk with the new stage in place.
-TEST(FusedChainStateMachine, ReplaceStageDemotesBeforeNextBurst) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, true);
-  ASSERT_NE(chain, nullptr);
-  ASSERT_TRUE(chain->fused());
+  const FusedChain* const before = chain->fused_program();
   const u32 gen_before = chain->fusion_stats().generation;
 
   const std::vector<pktgen::Packet> pkts = MakeMix(0, 2048, 64, 11);
-  (void)RunChain(*chain, pkts, 32);
-  ASSERT_TRUE(chain->fused());
+  const std::vector<ebpf::XdpAction> primed = RunChain(*chain, pkts, 32);
+  EXPECT_NE(std::count(primed.begin(), primed.end(), ebpf::XdpAction::kPass),
+            0);
 
   // Swap stage 1 for an unprimed vbf (empty table: everything drops there).
-  auto replacement =
-      NfRegistry::Global().Create("vbf-membership", Variant::kEnetstl);
-  ASSERT_NE(replacement, nullptr);
-  ASSERT_TRUE(chain->ReplaceStage(1, std::move(replacement)).ok);
+  ASSERT_TRUE(chain
+                  ->ReplaceStage(1, NfRegistry::Global().Create(
+                                        "vbf-membership", Variant::kEnetstl))
+                  .ok);
+  EXPECT_NE(chain->fused_program(), before);
+  EXPECT_EQ(chain->fusion_stats().generation, gen_before + 1);
 
-  EXPECT_FALSE(chain->fused());
-  EXPECT_EQ(chain->fusion_stats().demotions, 1u);
-  EXPECT_GT(chain->fusion_stats().generation, gen_before);
-
-  // Next burst runs generic — and reflects the new (empty) stage.
-  const u64 generic_bursts = chain->fusion_stats().generic_bursts;
   const std::vector<ebpf::XdpAction> verdicts = RunChain(*chain, pkts, 32);
-  EXPECT_GT(chain->fusion_stats().generic_bursts, generic_bursts);
   for (std::size_t i = 0; i < verdicts.size(); ++i) {
     EXPECT_NE(verdicts[i], ebpf::XdpAction::kPass) << i;
   }
-
-  // Re-promotion needs the hotness thresholds all over again...
-  EXPECT_FALSE(chain->fused());
-  // ...but stays available: force it and check the fused walk agrees with a
-  // freshly built oracle of the same post-reconfig shape.
-  ASSERT_TRUE(chain->TryPromoteNow());
-  ASSERT_TRUE(chain->fused());
-  const std::vector<ebpf::XdpAction> fused_verdicts = RunChain(*chain, pkts, 32);
-  for (std::size_t i = 0; i < fused_verdicts.size(); ++i) {
-    EXPECT_EQ(fused_verdicts[i], verdicts[i]) << i;
-  }
+  EXPECT_EQ(verdicts, RunScalar(*chain, pkts));
 }
 
-TEST(FusedChainStateMachine, ReloadAndDisableDemote) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, true);
+// Load() on a loaded chain rebuilds every program, so it re-folds too.
+TEST(FusedChainCommit, LoadRefoldsTheProgram) {
+  auto chain = MakeChain(StageNames(3), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
-  ASSERT_TRUE(chain->fused());
+  const FusedChain* const before = chain->fused_program();
+  const u32 gen_before = chain->fusion_stats().generation;
   ASSERT_TRUE(chain->Load().ok);
-  EXPECT_FALSE(chain->fused()) << "Load() is a reconfiguration";
+  EXPECT_NE(chain->fused_program(), before);
+  EXPECT_EQ(chain->fusion_stats().generation, gen_before + 1);
 
-  ASSERT_TRUE(chain->TryPromoteNow());
-  chain->DisableFusion();
-  EXPECT_FALSE(chain->fused());
-  EXPECT_FALSE(chain->TryPromoteNow()) << "disarmed";
-  EXPECT_EQ(chain->fusion_stats().demotions, 2u);
+  auto oracle = MakeChain(StageNames(3), Variant::kEnetstl);
+  ASSERT_NE(oracle, nullptr);
+  ExpectBurstMatchesScalar(*chain, *oracle, MakeMix(1024, 3000, 128, 5, 13),
+                           32, "reloaded");
 }
 
-TEST(FusedChainStateMachine, FailedReplacementRollsBackAndStaysRunnable) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, true);
+// A rejected replacement — bad argument, or a prog-array update that the
+// helper refuses — keeps the same program object and generation, and the
+// chain keeps serving on it.
+TEST(FusedChainCommit, FailedReplacementKeepsProgramAndGeneration) {
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
-  ASSERT_TRUE(chain->fused());
-  // Null replacement: rejected up front, but still a demotion-triggering
-  // reconfiguration attempt is NOT made (argument never checked out).
+  const FusedChain* const before = chain->fused_program();
+  const u32 gen_before = chain->fusion_stats().generation;
+  NetworkFunction* const stage1 = &chain->stage(1);
+
   EXPECT_FALSE(chain->ReplaceStage(1, nullptr).ok);
   EXPECT_FALSE(chain->ReplaceStage(99, nullptr).ok);
-  // The chain is still runnable on the generic or fused path.
-  const std::vector<pktgen::Packet> pkts = MakeMix(0, 2048, 32, 13);
-  const std::vector<ebpf::XdpAction> verdicts = RunChain(*chain, pkts, 32);
-  EXPECT_EQ(verdicts.size(), pkts.size());
+  auto& inj = enetstl::FaultInjector::Global();
+  inj.Reset();
+  inj.ArmOneShot("helper.prog_array_update", 0);
+  EXPECT_FALSE(chain
+                   ->ReplaceStage(1, NfRegistry::Global().Create(
+                                         "vbf-membership", Variant::kEnetstl))
+                   .ok);
+  inj.Reset();
+
+  EXPECT_EQ(chain->fused_program(), before);
+  EXPECT_EQ(chain->fusion_stats().generation, gen_before);
+  EXPECT_EQ(&chain->stage(1), stage1);
+  auto oracle = MakeChain(StageNames(2), Variant::kEnetstl);
+  ASSERT_NE(oracle, nullptr);
+  ExpectBurstMatchesScalar(*chain, *oracle, MakeMix(0, 2048, 64, 13), 32,
+                           "after rejected replacements");
 }
 
 // ---------------------------------------------------------------------------
@@ -509,8 +496,7 @@ TEST(FusedChainBudget, DepthAtTailCallLimitFusesAndRuns) {
     chain.AddStage(std::make_unique<PassNf>());
   }
   ASSERT_TRUE(chain.Load().ok);
-  chain.EnableFusion();
-  ASSERT_TRUE(chain.TryPromoteNow());
+  ASSERT_NE(chain.fused_program(), nullptr);
   pktgen::Packet pkt = Env().uniform[0];
   ebpf::XdpContext ctx = ContextFor(pkt);
   ebpf::XdpAction verdict;
@@ -526,7 +512,7 @@ TEST(FusedChainBudget, EligibilityTracksTailCallBudget) {
   EXPECT_FALSE(ebpf::FusionWithinTailCallBudget(ebpf::kMaxTailCallChain + 1));
   // FusedChain::Fuse enforces it independently of the executor.
   std::vector<FusedStage> too_deep(ebpf::kMaxTailCallChain + 1);
-  EXPECT_EQ(FusedChain::Fuse(std::move(too_deep), 0), nullptr);
+  EXPECT_EQ(FusedChain::Fuse(std::move(too_deep)), nullptr);
 }
 
 }  // namespace

@@ -68,8 +68,17 @@ TEST(ObsScopes, RegistrationIsIdempotentAndCapped) {
     EXPECT_NE(telemetry.RegisterScope("fill-" + std::to_string(i)),
               kInvalidScope);
   }
+  // A full table still finds the names it holds, and those are no refusal.
+  EXPECT_EQ(telemetry.RegisterScope("alpha"), a);
+  EXPECT_EQ(telemetry.scopes_refused(), 0u);
   EXPECT_EQ(telemetry.RegisterScope("overflow"), kInvalidScope);
   EXPECT_EQ(telemetry.ScopeNames().size(), kMaxScopes);
+  // The 65th distinct name is counted, and the count is exported.
+  EXPECT_EQ(telemetry.scopes_refused(), 1u);
+  const ObsReport report = CollectObsReport(telemetry);
+  EXPECT_EQ(report.scopes_refused, 1u);
+  EXPECT_NE(ObsReportJson(report).find("\"scopes_refused\": 1"),
+            std::string::npos);
 }
 
 TEST(ObsSampling, OneInEveryNAfterWarmup) {

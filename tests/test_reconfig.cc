@@ -50,15 +50,8 @@ ebpf::XdpContext ContextFor(pktgen::Packet& packet) {
 }
 
 std::unique_ptr<ChainExecutor> MakeChain(const std::vector<std::string>& names,
-                                         Variant v, bool fused) {
-  auto chain = MakeBenchChain(names, v, Env());
-  if (chain != nullptr && fused) {
-    chain->EnableFusion();
-    if (!chain->TryPromoteNow()) {
-      return nullptr;
-    }
-  }
-  return chain;
+                                         Variant v) {
+  return MakeBenchChain(names, v, Env());
 }
 
 // Bit-identical primed twin of a bench-chain stage: MakeBenchChain builds
@@ -129,7 +122,7 @@ class Reconfig : public ::testing::Test {
 // ---------------------------------------------------------------------------
 
 TEST_F(Reconfig, SwapNfSurfacesRegistryErrorsWithBenchWording) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, false);
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ChainReconfig plane(*chain);
 
@@ -185,8 +178,8 @@ TEST_F(Reconfig, ErrorNamesCoverTheTaxonomy) {
 // the chaos harness, pinned here in isolation.
 TEST_F(Reconfig, TwinSwapIsVerdictInvisible) {
   const std::vector<std::string> names = StageNames(3);
-  auto chain = MakeChain(names, Variant::kEnetstl, false);
-  auto oracle = MakeChain(names, Variant::kEnetstl, false);
+  auto chain = MakeChain(names, Variant::kEnetstl);
+  auto oracle = MakeChain(names, Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ASSERT_NE(oracle, nullptr);
   ChainReconfig plane(*chain);
@@ -211,7 +204,7 @@ TEST_F(Reconfig, TwinSwapIsVerdictInvisible) {
 }
 
 TEST_F(Reconfig, ShadowWarmupCommitsAtTheBurstBoundary) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, false);
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ChainReconfig plane(*chain);
   const std::vector<pktgen::Packet> pkts = MakeMix(0, 2048, 32, 23);
@@ -409,17 +402,18 @@ TEST_F(Reconfig, StateTransferFaultRollsBackUntouched) {
 
 // A commit fault (either the plane's own swap-commit point or the
 // prog-array slot update under it) must leave the chain bit-identical —
-// including a live fused program and its generation counter.
+// including its fused program object and generation counter.
 TEST_F(Reconfig, CommitFaultRollsBackWithFusedProgramIntact) {
   for (const char* point : {"reconfig.swap_commit",
                             "helper.prog_array_update"}) {
     enetstl::FaultInjector::Global().Reset();
     const std::vector<std::string> names = StageNames(3);
-    auto chain = MakeChain(names, Variant::kEnetstl, true);
-    auto oracle = MakeChain(names, Variant::kEnetstl, true);
+    auto chain = MakeChain(names, Variant::kEnetstl);
+    auto oracle = MakeChain(names, Variant::kEnetstl);
     ASSERT_NE(chain, nullptr) << point;
     ASSERT_NE(oracle, nullptr) << point;
     ChainReconfig plane(*chain);
+    const FusedChain* const program_before = chain->fused_program();
     const u32 gen_before = chain->fusion_stats().generation;
 
     enetstl::FaultInjector::Global().ArmOneShot(point, 0);
@@ -431,11 +425,10 @@ TEST_F(Reconfig, CommitFaultRollsBackWithFusedProgramIntact) {
     EXPECT_EQ(plane.stats().swaps_rolled_back, 1u) << point;
     EXPECT_EQ(plane.stats().epoch, 0u) << point;
 
-    // Bit-identity: still fused, same generation, and the next bursts match
-    // an untouched fused twin verdict for verdict.
-    EXPECT_TRUE(chain->fused()) << point;
+    // Bit-identity: same fused program, same generation, and the next
+    // bursts match an untouched twin verdict for verdict.
+    EXPECT_EQ(chain->fused_program(), program_before) << point;
     EXPECT_EQ(chain->fusion_stats().generation, gen_before) << point;
-    EXPECT_EQ(chain->fusion_stats().demotions, 0u) << point;
     const std::vector<pktgen::Packet> pkts = MakeMix(1024, 3000, 192, 29);
     EXPECT_EQ(RunPlane(plane, pkts, 32), RunChain(*oracle, pkts, 32))
         << point;
@@ -445,7 +438,7 @@ TEST_F(Reconfig, CommitFaultRollsBackWithFusedProgramIntact) {
 // A staged (shadow warm-up) swap whose deferred commit faults is abandoned
 // at the boundary: the chain keeps running the old stage, typed stats only.
 TEST_F(Reconfig, ShadowCommitFaultAbandonsTheStagedSwap) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, false);
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ChainReconfig plane(*chain);
   NetworkFunction* const original = &chain->stage(0);
@@ -473,8 +466,8 @@ TEST_F(Reconfig, ShadowCommitFaultAbandonsTheStagedSwap) {
 
 TEST_F(Reconfig, TapInsertAndRemoveAreVerdictTransparent) {
   const std::vector<std::string> names = StageNames(3);
-  auto chain = MakeChain(names, Variant::kEnetstl, false);
-  auto oracle = MakeChain(names, Variant::kEnetstl, false);
+  auto chain = MakeChain(names, Variant::kEnetstl);
+  auto oracle = MakeChain(names, Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ASSERT_NE(oracle, nullptr);
   ChainReconfig plane(*chain);
@@ -501,22 +494,49 @@ TEST_F(Reconfig, TapInsertAndRemoveAreVerdictTransparent) {
   EXPECT_EQ(RunPlane(plane, pkts, 32), RunChain(*oracle, pkts, 32));
 }
 
-TEST_F(Reconfig, EditsDemoteAFusedChain) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, true);
+// Every committed edit re-folds the fused program inside the guard, so the
+// next burst runs a program folded from the edited stage set; a refused
+// edit keeps the program and its generation.
+TEST_F(Reconfig, EditsRefoldTheFusedProgram) {
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ChainReconfig plane(*chain);
-  ASSERT_TRUE(chain->fused());
-  ASSERT_TRUE(plane.InsertStage(2, std::make_unique<PassthroughTap>()).ok());
-  EXPECT_FALSE(chain->fused()) << "structural edit demotes";
-  EXPECT_EQ(chain->fusion_stats().demotions, 1u);
-  // Re-promotion folds the edited shape and stays runnable.
-  ASSERT_TRUE(chain->TryPromoteNow());
   const std::vector<pktgen::Packet> pkts = MakeMix(0, 2048, 64, 41);
-  EXPECT_EQ(RunPlane(plane, pkts, 32).size(), pkts.size());
+  const FusedChain* program = chain->fused_program();
+  u32 generation = chain->fusion_stats().generation;
+
+  ASSERT_TRUE(plane.InsertStage(2, std::make_unique<PassthroughTap>()).ok());
+  EXPECT_NE(chain->fused_program(), program);
+  EXPECT_EQ(chain->fused_program()->depth(), 3u);
+  EXPECT_EQ(chain->fusion_stats().generation, ++generation);
+  program = chain->fused_program();
+
+  // The next burst runs the folded tap: its counter sees the survivors.
+  auto* tap = dynamic_cast<PassthroughTap*>(&chain->stage(2));
+  ASSERT_NE(tap, nullptr);
+  (void)RunPlane(plane, pkts, 64);
+  EXPECT_EQ(tap->packets(), chain->stage_stats()[1].pass);
+  EXPECT_EQ(chain->stage_stats()[2].in, tap->packets());
+
+  EXPECT_EQ(plane.RemoveStage(7).error, ReconfigError::kBadStage);
+  enetstl::FaultInjector::Global().ArmOneShot("helper.prog_array_update", 0);
+  EXPECT_EQ(plane.InsertStage(0, std::make_unique<PassthroughTap>()).error,
+            ReconfigError::kCommitFault);
+  EXPECT_EQ(chain->depth(), 3u);
+  EXPECT_EQ(chain->fused_program(), program);
+  EXPECT_EQ(chain->fusion_stats().generation, generation);
+
+  ASSERT_TRUE(plane.RemoveStage(2).ok());
+  EXPECT_NE(chain->fused_program(), program);
+  EXPECT_EQ(chain->fused_program()->depth(), 2u);
+  EXPECT_EQ(chain->fusion_stats().generation, ++generation);
+  auto oracle = MakeChain(StageNames(2), Variant::kEnetstl);
+  ASSERT_NE(oracle, nullptr);
+  EXPECT_EQ(RunPlane(plane, pkts, 32), RunChain(*oracle, pkts, 32));
 }
 
 TEST_F(Reconfig, EditValidationIsTypedAndCommitsNothing) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, false);
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ChainReconfig plane(*chain);
 
@@ -557,7 +577,7 @@ TEST_F(Reconfig, ControlOperationsEmitTypedObsEvents) {
     GTEST_SKIP() << "observability compiled out";
   }
   obs::Telemetry& telemetry = obs::Telemetry::Global();
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, false);
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ChainReconfig plane(*chain);
   const obs::u16 scope = telemetry.RegisterScope("chain/reconfig");
@@ -610,12 +630,11 @@ TEST_F(Reconfig, ControlOperationsEmitTypedObsEvents) {
 // them at burst boundaries: every burst's verdict buffer is fully written
 // (no sentinel survives — zero loss), every control op lands or fails typed,
 // and the executor never tears. TSan sees any mutation that escapes the
-// guard; the fused demote-generation handshake is exercised by re-arming
-// fusion after each swap.
+// guard, including the fused-program re-fold of every committed operation.
 TEST_F(Reconfig, DatapathAndControlThreadsSerializeAtBurstBoundaries) {
   constexpr u32 kBurstSize = 32;
   constexpr u32 kControlRounds = 8;
-  auto chain = MakeChain(StageNames(3), Variant::kEnetstl, true);
+  auto chain = MakeChain(StageNames(3), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ChainReconfig plane(*chain);
 
@@ -665,33 +684,33 @@ TEST_F(Reconfig, DatapathAndControlThreadsSerializeAtBurstBoundaries) {
   datapath.join();
   control.join();
   EXPECT_EQ(sentinel_leaks.load(), 0u) << "a burst lost packets";
-  // The run must have actually exercised reconfiguration under load.
+  // The run must have actually exercised reconfiguration under load, and
+  // every committed operation re-folded the program exactly once.
   const ReconfigStats stats = plane.stats();
   EXPECT_GT(stats.swaps_committed + stats.swaps_rolled_back, 0u);
+  EXPECT_EQ(chain->fusion_stats().generation, 1u + stats.epoch);
   // And the chain is still coherent: one more quiet differential run.
-  auto oracle = MakeChain(StageNames(3), Variant::kEnetstl, false);
+  auto oracle = MakeChain(StageNames(3), Variant::kEnetstl);
   ASSERT_NE(oracle, nullptr);
   const std::vector<pktgen::Packet> pkts = MakeMix(1024, 2048, 128, 47);
   EXPECT_EQ(RunPlane(plane, pkts, 32), RunChain(*oracle, pkts, 32));
 }
 
-// Regression for the fused-snapshot fix: a demotion between chunks of one
-// oversized burst is honored at the next chunk boundary, never mid-walk. A
-// single ProcessBurst call larger than kMaxNfBurst runs chunk by chunk on
-// the program it started on; the subsequent ReplaceStage demotes exactly
-// once and the next oversized burst runs fully generic.
-TEST_F(Reconfig, OversizedBurstRunsToCompletionAcrossDemotion) {
-  auto chain = MakeChain(StageNames(2), Variant::kEnetstl, true);
+// An oversized burst (more than kMaxNfBurst packets in one call) runs every
+// chunk on the program it started on; a swap committed between two such
+// bursts re-folds, and the whole next oversized burst runs on the new
+// program — the replacement stage's fresh counters see all of it.
+TEST_F(Reconfig, OversizedBurstRunsToCompletionAcrossCommit) {
+  constexpr u32 kOversized = 3 * kMaxNfBurst + 7;
+  auto chain = MakeChain(StageNames(2), Variant::kEnetstl);
   ASSERT_NE(chain, nullptr);
   ChainReconfig plane(*chain);
-  const std::vector<pktgen::Packet> pkts =
-      MakeMix(0, 2048, 3 * kMaxNfBurst + 7, 53);
+  const std::vector<pktgen::Packet> pkts = MakeMix(0, 2048, kOversized, 53);
 
-  const std::vector<ebpf::XdpAction> fused_verdicts =
-      RunPlane(plane, pkts, 3 * kMaxNfBurst + 7);
-  ASSERT_TRUE(chain->fused());
-  const u64 fused_bursts = chain->fusion_stats().fused_bursts;
-  ASSERT_GT(fused_bursts, 0u);
+  const std::vector<ebpf::XdpAction> before = RunPlane(plane, pkts, kOversized);
+  EXPECT_EQ(chain->fusion_stats().fused_bursts, 1u);
+  EXPECT_EQ(chain->stage_stats()[0].in, kOversized);
+  const FusedChain* const program = chain->fused_program();
 
   SwapOptions now;
   now.warmup_bursts = 0;
@@ -700,15 +719,14 @@ TEST_F(Reconfig, OversizedBurstRunsToCompletionAcrossDemotion) {
                               MakeTwin("cuckoo-filter", Variant::kEnetstl),
                               now)
                   .ok());
-  EXPECT_FALSE(chain->fused());
-  EXPECT_EQ(chain->fusion_stats().demotions, 1u);
+  EXPECT_NE(chain->fused_program(), program);
+  EXPECT_EQ(chain->stage_stats()[0].in, 0u) << "replacement counters reset";
 
-  const std::vector<ebpf::XdpAction> generic_verdicts =
-      RunPlane(plane, pkts, 3 * kMaxNfBurst + 7);
-  EXPECT_EQ(chain->fusion_stats().fused_bursts, fused_bursts)
-      << "post-demotion chunks must not touch the dead fused program";
-  EXPECT_EQ(generic_verdicts, fused_verdicts)
-      << "twin swap + demotion must not change verdicts";
+  const std::vector<ebpf::XdpAction> after = RunPlane(plane, pkts, kOversized);
+  EXPECT_EQ(chain->fusion_stats().fused_bursts, 2u);
+  EXPECT_EQ(chain->stage_stats()[0].in, kOversized)
+      << "every chunk of the post-commit burst ran the new stage";
+  EXPECT_EQ(after, before) << "a twin swap must not change verdicts";
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Chaos soak for the live-reconfiguration control plane: a depth-4 eNetSTL
-// chain (fusion armed) runs >1M packets in 64-packet bursts while a seeded
-// scheduler fires >100 reconfiguration events against it — twin hot swaps
-// (inline and shadow-warmed), tap insert/remove edits, injected faults at
+// chain (fused from Load() on) runs >1M packets in 64-packet bursts while a
+// seeded scheduler fires >100 reconfiguration events against it — twin hot
+// swaps (inline and shadow-warmed), tap insert/remove edits, injected faults at
 // every reconfig fault point, malformed control requests, and deliberate
 // divergence windows (an unprimed replacement swapped in, then swapped back).
 //
-// Invariants asserted burst by burst against an untouched twin oracle:
+// Invariants asserted burst by burst against an untouched twin walked by
+// the scalar tail-call path (the oracle):
 //  * zero loss — every verdict slot of every burst is written (sentinel
 //    prefill), on the chain and the oracle, through every event;
 //  * zero verdict divergence outside the deliberate divergence windows —
@@ -96,9 +97,8 @@ TEST(ReconfigChaos, MillionPacketSoakUnderSeededReconfigurationStorm) {
   auto oracle = MakeBenchChain(names, Variant::kEnetstl, Env());
   ASSERT_NE(chain, nullptr);
   ASSERT_NE(oracle, nullptr);
-  chain->EnableFusion();
-  ASSERT_TRUE(chain->TryPromoteNow());
   ChainReconfig plane(*chain);
+  const u32 generation0 = chain->fusion_stats().generation;
 
   // Packet pool: the full flow window (resident + non-resident) with every
   // 29th frame's Ethernet header wrecked (kAborted coverage); bursts cycle
@@ -235,11 +235,6 @@ TEST(ReconfigChaos, MillionPacketSoakUnderSeededReconfigurationStorm) {
           }
         }
       }
-      // Half the boundaries re-arm fusion, so the storm keeps crossing the
-      // fused/generic boundary (every committed swap/edit demotes).
-      if (!chain->fused() && rng.Below(2) == 0) {
-        (void)chain->TryPromoteNow();
-      }
     }
 
     // --- One burst, chain vs oracle, sentinel-prefilled ---
@@ -256,7 +251,9 @@ TEST(ReconfigChaos, MillionPacketSoakUnderSeededReconfigurationStorm) {
       oracle_verdicts[i] = kSentinel;
     }
     plane.ProcessBurst(chain_ctxs, kBurstSize, chain_verdicts);
-    oracle->ProcessBurst(oracle_ctxs, kBurstSize, oracle_verdicts);
+    for (u32 i = 0; i < kBurstSize; ++i) {
+      oracle_verdicts[i] = oracle->Process(oracle_ctxs[i]);
+    }
     total_packets += kBurstSize;
 
     for (u32 i = 0; i < kBurstSize; ++i) {
@@ -319,10 +316,11 @@ TEST(ReconfigChaos, MillionPacketSoakUnderSeededReconfigurationStorm) {
   EXPECT_GT(stats.inserts, 0u);
   EXPECT_GT(stats.removes, 0u);
   EXPECT_GT(fault_events, 0u);
-  EXPECT_GT(chain->fusion_stats().fused_bursts, 0u)
-      << "the storm never ran fused";
-  EXPECT_GT(chain->fusion_stats().demotions, 0u)
-      << "no reconfiguration demoted the fused program";
+  // Every burst ran the fused program, and every committed operation (and
+  // nothing else) re-folded it.
+  EXPECT_EQ(chain->fusion_stats().fused_bursts, kBursts);
+  EXPECT_EQ(chain->fusion_stats().generation, generation0 + stats.epoch)
+      << "a committed operation did not re-fold, or a failed one did";
 }
 
 }  // namespace

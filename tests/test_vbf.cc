@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "pktgen/flowgen.h"
 #include "pktgen/pipeline.h"
@@ -170,6 +171,29 @@ TEST(VbfRows, MoreRowsFewerFalsePositives) {
     fp_by_rows[idx++] = fp;
   }
   EXPECT_LT(fp_by_rows[1], fp_by_rows[0]);
+}
+
+// The multi-hash scratch holds eight lanes and positions are masked with
+// `positions - 1`, so a row count outside [1, 8] or a position count that
+// is not a power of two is refused at construction, in every variant.
+TEST(VbfRows, OutOfRangeGeometryIsRejectedInEveryVariant) {
+  for (const Kind kind : {Kind::kEbpf, Kind::kKernel, Kind::kEnetstl}) {
+    for (const u32 rows : {0u, 9u}) {
+      VbfConfig config;
+      config.rows = rows;
+      EXPECT_THROW(Make(kind, config), std::invalid_argument)
+          << "rows " << rows << " kind " << static_cast<int>(kind);
+    }
+    VbfConfig odd;
+    odd.positions = 3000;
+    EXPECT_THROW(Make(kind, odd), std::invalid_argument)
+        << "kind " << static_cast<int>(kind);
+    for (const u32 rows : {1u, 8u}) {
+      VbfConfig config;
+      config.rows = rows;
+      EXPECT_NO_THROW(Make(kind, config)) << "rows " << rows;
+    }
+  }
 }
 
 }  // namespace
