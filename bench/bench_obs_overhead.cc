@@ -47,20 +47,6 @@ struct SamplingConfig {
   u32 every;
 };
 
-// One timed pass over the trace (no internal repeats). The caller interleaves
-// configs round-robin across repetitions so that ambient noise on the shared
-// core lands on every column equally instead of biasing whichever config was
-// measured last; best-of-reps per config then discards the perturbed passes.
-double MeasureOnceMpps(nf::NetworkFunction& nf, const pktgen::Trace& trace,
-                       u32 burst_size) {
-  pktgen::Pipeline::Options opts;
-  opts.warmup_packets = 20'000;
-  opts.measure_packets = bench::EnvPackets(200'000);
-  opts.burst_size = burst_size;
-  const pktgen::Pipeline pipeline(opts);
-  return pipeline.MeasureThroughputBurst(nf.BurstHandler(), trace).pps / 1e6;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -100,6 +86,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
+  const pktgen::Pipeline pipeline = bench::MakePipeline(32);
   bool rate64_within_5pct = true;
   double worst_rate64_overhead = 0.0;
   const u32 kDepths[] = {1, 2, 4, 8};
@@ -116,54 +103,35 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    double mpps[kNumConfigs] = {};
     // Noise on the shared core runs +-5% per pass and drifts slowly, so the
     // overhead estimate is PAIRED: each rep measures off and every sampling
-    // rate back-to-back, each rate is expressed as a ratio of that same
-    // rep's off pass (drift cancels within the pair), and the reported
-    // overhead is the median ratio across reps. The Mpps columns stay
-    // best-of-reps, the convention of every other bench.
-    constexpr int kReps = 9;
-    std::vector<double> ratios[kNumConfigs];
-    for (int rep = 0; rep < kReps; ++rep) {
-      double pass[kNumConfigs] = {};
-      for (int c = 0; c < kNumConfigs; ++c) {
+    // rate back-to-back, and the overhead is 1 - the median over reps of
+    // each rate's ratio to that same rep's off pass (drift cancels within
+    // the pair). The Mpps columns stay best-of-reps.
+    std::vector<bench::Reps::Pass> passes;
+    for (int c = 0; c < kNumConfigs; ++c) {
+      passes.push_back([&, c] {
         if (kConfigs[c].on) {
           telemetry.Enable(kConfigs[c].every);
         } else {
           telemetry.Disable();
         }
-        pass[c] = MeasureOnceMpps(*chains[c], trace, 32);
-        mpps[c] = pass[c] > mpps[c] ? pass[c] : mpps[c];
+        const auto stats =
+            pipeline.MeasureThroughputBurst(chains[c]->BurstHandler(), trace);
         telemetry.Disable();
-      }
-      for (int c = 1; c < kNumConfigs; ++c) {
-        if (pass[0] > 0) {
-          ratios[c].push_back(pass[c] / pass[0]);
-        }
-      }
+        return stats.pps / 1e6;
+      });
     }
-    double overhead_pct[kNumConfigs] = {};
-    for (int c = 1; c < kNumConfigs; ++c) {
-      std::sort(ratios[c].begin(), ratios[c].end());
-      const double median = ratios[c].empty()
-                                ? 1.0
-                                : ratios[c][ratios[c].size() / 2];
-      overhead_pct[c] = (1.0 - median) * 100.0;
-    }
-    for (int c = 0; c < kNumConfigs; ++c) {
-      report.Add(kConfigs[c].label, std::to_string(depth), mpps[c]);
-    }
+    const bench::Reps reps(9, passes);
     std::printf("%-12u", depth);
     for (int c = 0; c < kNumConfigs; ++c) {
-      std::printf(" %15.3f %7.1f", mpps[c], overhead_pct[c]);
+      const double overhead_pct =
+          c == 0 ? 0.0 : (1.0 - reps.PairedMedianRatio(c, 0)) * 100.0;
+      report.Add(kConfigs[c].label, std::to_string(depth), reps.Best(c));
+      std::printf(" %15.3f %7.1f", reps.Best(c), overhead_pct);
       if (std::string(kConfigs[c].label) == "1/64") {
-        worst_rate64_overhead = overhead_pct[c] > worst_rate64_overhead
-                                    ? overhead_pct[c]
-                                    : worst_rate64_overhead;
-        if (overhead_pct[c] > 5.0) {
-          rate64_within_5pct = false;
-        }
+        worst_rate64_overhead = std::max(worst_rate64_overhead, overhead_pct);
+        rate64_within_5pct = rate64_within_5pct && overhead_pct <= 5.0;
       }
     }
     std::printf("\n");

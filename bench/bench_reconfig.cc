@@ -15,7 +15,8 @@
 // steady rate of an untouched chain vs the same chain with an inline twin
 // swap fired from the datapath every kStormSwapPeriod bursts. The transient
 // dip is the price of live reconfiguration; the acceptance budget is a <5%
-// dip.
+// dip, where dip = 1 - the paired median of storm/steady over interleaved
+// reps (the Mpps columns stay best-of-reps).
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -40,6 +41,9 @@ using bench::u64;
 constexpr u32 kBurstSize = nf::kMaxNfBurst;  // 64
 constexpr u32 kStormSwapPeriod = 256;        // bursts between storm swaps
 constexpr double kDipBudgetPct = 5.0;
+// Reps per depth for the dip: the gate reads the paired median of 15
+// steady/storm pairs (at 9 it resolved no better than best-of-9 vs best-of-9).
+constexpr int kDipReps = 15;
 
 std::vector<std::string> StageNames(u32 length) {
   static const char* kCycle[] = {"cuckoo-filter", "vbf-membership"};
@@ -74,15 +78,11 @@ struct LatencySummary {
   double p50_us = 0.0;
 };
 
-LatencySummary Summarize(std::vector<u64> ns) {
-  LatencySummary out;
-  if (ns.empty()) {
-    return out;
-  }
-  std::sort(ns.begin(), ns.end());
-  out.min_us = static_cast<double>(ns.front()) / 1e3;
-  out.p50_us = static_cast<double>(ns[ns.size() / 2]) / 1e3;
-  return out;
+LatencySummary Summarize(const std::vector<u64>& ns) {
+  std::vector<double> sorted(ns.begin(), ns.end());
+  std::sort(sorted.begin(), sorted.end());
+  return {obs::SortedQuantile(sorted.data(), sorted.size(), 0.0) / 1e3,
+          obs::SortedQuantile(sorted.data(), sorted.size(), 0.5) / 1e3};
 }
 
 // One 64-packet burst drawn from the env trace, deep-copied so frame state
@@ -118,7 +118,7 @@ LatencySummary MeasureTwinInline(const nf::BenchEnv& env, int reps) {
     }
     ns.push_back(plane.stats().last_swap_ns);
   }
-  return Summarize(std::move(ns));
+  return Summarize(ns);
 }
 
 LatencySummary MeasureStateTransfer(const nf::BenchEnv& env, int reps,
@@ -160,7 +160,7 @@ LatencySummary MeasureStateTransfer(const nf::BenchEnv& env, int reps,
   const u64 moved = plane.stats().state_bytes - bytes_before;
   *state_kb_per_swap =
       reps > 0 ? static_cast<double>(moved) / reps / 1024.0 : 0.0;
-  return Summarize(std::move(ns));
+  return Summarize(ns);
 }
 
 LatencySummary MeasureShadowWarmup(const nf::BenchEnv& env, int reps,
@@ -193,15 +193,16 @@ LatencySummary MeasureShadowWarmup(const nf::BenchEnv& env, int reps,
     inflight += plane.stats().shadow_packets - shadow_before;
   }
   *inflight_per_swap = reps > 0 ? inflight / reps : 0;
-  return Summarize(std::move(ns));
+  return Summarize(ns);
 }
 
 // Steady vs storm throughput for one chain depth. The storm handler fires
 // an inline twin swap (which re-folds the chain) from inside the datapath
 // every kStormSwapPeriod bursts — the swap's full cost lands in the
 // measured window, which is exactly the transient dip the budget bounds.
-void MeasureDepth(const nf::BenchEnv& env, u32 depth, double* steady_mpps,
-                  double* storm_mpps) {
+// Each rep runs a steady pass then a storm pass; pass 0 is steady, pass 1
+// is storm.
+bench::Reps MeasureDepth(const nf::BenchEnv& env, u32 depth) {
   auto chain =
       nf::MakeBenchChain(StageNames(depth), nf::Variant::kEnetstl, env);
   if (chain == nullptr) {
@@ -209,29 +210,21 @@ void MeasureDepth(const nf::BenchEnv& env, u32 depth, double* steady_mpps,
     std::exit(1);
   }
   nf::ChainReconfig plane(*chain);
-
-  pktgen::Pipeline::Options opts;
-  opts.warmup_packets = 20'000;
-  opts.measure_packets = bench::EnvPackets(200'000);
-  opts.burst_size = kBurstSize;
-  const pktgen::Pipeline pipeline(opts);
+  const pktgen::Pipeline pipeline = bench::MakePipeline(kBurstSize);
+  const pktgen::Pipeline::Options& opts = pipeline.options();
   const u64 bursts_per_pass =
       (opts.warmup_packets + opts.measure_packets) / kBurstSize + 8;
   const std::size_t swaps_per_pass =
       static_cast<std::size_t>(bursts_per_pass / kStormSwapPeriod) + 2;
 
-  auto steady_handler = [&plane](ebpf::XdpContext* ctxs, u32 count,
-                                 ebpf::XdpAction* verdicts) {
-    plane.ProcessBurst(ctxs, count, verdicts);
+  auto steady_pass = [&] {
+    auto handler = [&plane](ebpf::XdpContext* ctxs, u32 count,
+                            ebpf::XdpAction* verdicts) {
+      plane.ProcessBurst(ctxs, count, verdicts);
+    };
+    return pipeline.MeasureThroughputBurst(handler, env.uniform).pps / 1e6;
   };
-
-  double best_steady = 0.0;
-  double best_storm = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto steady =
-        pipeline.MeasureThroughputBurst(steady_handler, env.uniform);
-    best_steady = std::max(best_steady, steady.pps);
-
+  auto storm_pass = [&] {
     // Replacements are built off the measured path (a real control plane
     // prepares them out-of-band); the storm pays commit + re-fold.
     std::vector<std::unique_ptr<nf::NetworkFunction>> twins;
@@ -239,8 +232,8 @@ void MeasureDepth(const nf::BenchEnv& env, u32 depth, double* steady_mpps,
       twins.push_back(MakeTwin("cuckoo-filter", env));
     }
     u64 bursts = 0;
-    auto storm_handler = [&](ebpf::XdpContext* ctxs, u32 count,
-                             ebpf::XdpAction* verdicts) {
+    auto handler = [&](ebpf::XdpContext* ctxs, u32 count,
+                       ebpf::XdpAction* verdicts) {
       plane.ProcessBurst(ctxs, count, verdicts);
       if (++bursts % kStormSwapPeriod == 0 && !twins.empty()) {
         (void)plane.SwapNfWith("cuckoo-filter", std::move(twins.back()),
@@ -248,12 +241,9 @@ void MeasureDepth(const nf::BenchEnv& env, u32 depth, double* steady_mpps,
         twins.pop_back();
       }
     };
-    const auto storm =
-        pipeline.MeasureThroughputBurst(storm_handler, env.uniform);
-    best_storm = std::max(best_storm, storm.pps);
-  }
-  *steady_mpps = best_steady / 1e6;
-  *storm_mpps = best_storm / 1e6;
+    return pipeline.MeasureThroughputBurst(handler, env.uniform).pps / 1e6;
+  };
+  return bench::Reps(kDipReps, {steady_pass, storm_pass});
 }
 
 }  // namespace
@@ -294,11 +284,10 @@ int main(int argc, char** argv) {
               "steady(Mpps)", "storm(Mpps)", "dip(%)", kStormSwapPeriod);
   bool within_budget = true;
   for (const u32 depth : {2u, 4u, 8u}) {
-    double steady = 0.0;
-    double storm = 0.0;
-    MeasureDepth(env, depth, &steady, &storm);
-    const double dip =
-        steady > 0.0 ? (steady - storm) / steady * 100.0 : 0.0;
+    const bench::Reps reps = MeasureDepth(env, depth);
+    const double steady = reps.Best(0);
+    const double storm = reps.Best(1);
+    const double dip = (1.0 - reps.PairedMedianRatio(1, 0)) * 100.0;
     within_budget = within_budget && dip < kDipBudgetPct;
     std::printf("%-8u %14.3f %14.3f %+10.2f\n", depth, steady, storm, dip);
     const std::string param = "depth" + std::to_string(depth);

@@ -79,22 +79,21 @@ ShardedPoint MeasureShardedMpps(nf::Variant variant,
   opts.measure_packets = 200'000;
   const pktgen::ShardedPipeline pipeline(opts);
 
-  ShardedPoint point;
-  for (int rep = 0; rep < 3; ++rep) {
+  const auto program =
+      [&](u32 /*cpu*/) -> pktgen::ShardedPipeline::ShardProgram {
+    // Per-worker replica: each simulated core owns its own table, the RSS
+    // deployment shape (flow affinity keeps them coherent).
+    std::shared_ptr<nf::CuckooSwitchBase> sw = MakeSwitch(variant, resident);
+    return {[sw](ebpf::XdpContext* ctxs, u32 count,
+                 ebpf::XdpAction* verdicts) {
+              sw->ProcessBurst(ctxs, count, verdicts);
+            },
+            nullptr};
+  };
+  ShardedPoint point{0.0, true};
+  auto pass = [&] {
     const auto result = pipeline.MeasureScaleOut(
-        [&](u32 /*cpu*/) -> pktgen::ShardedPipeline::ShardProgram {
-          // Per-worker replica: each simulated core owns its own table, the
-          // RSS deployment shape (flow affinity keeps them coherent).
-          std::shared_ptr<nf::CuckooSwitchBase> sw =
-              MakeSwitch(variant, resident);
-          return {[sw](ebpf::XdpContext* ctxs, u32 count,
-                       ebpf::XdpAction* verdicts) {
-                    sw->ProcessBurst(ctxs, count, verdicts);
-                  },
-                  nullptr};
-        },
-        trace, {.enabled = false});  // static RSS
-
+        program, trace, {.enabled = false});  // static RSS
     u64 packets = 0, dropped = 0, passed = 0, aborted = 0;
     for (const auto& shard : result.shards) {
       packets += shard.stats.packets;
@@ -102,17 +101,15 @@ ShardedPoint MeasureShardedMpps(nf::Variant variant,
       passed += shard.stats.passed;
       aborted += shard.stats.aborted;
     }
-    point.sums_ok = packets == result.total.packets &&
+    point.sums_ok = point.sums_ok && packets == result.total.packets &&
                     packets == opts.measure_packets &&
                     dropped == result.total.dropped &&
                     passed == result.total.passed &&
                     aborted == result.total.aborted;
-    if (!point.sums_ok) {
-      return point;
-    }
-    const double mpps = result.total.pps / 1e6;
-    point.mpps = mpps > point.mpps ? mpps : point.mpps;
-  }
+    return result.total.pps / 1e6;
+  };
+  // Best of kReportReps; the per-CPU stats must sum exactly in every rep.
+  point.mpps = bench::Reps(bench::kReportReps, {pass}).Best(0);
   return point;
 }
 

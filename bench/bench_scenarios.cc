@@ -75,12 +75,10 @@ double MeasureCapacityPps(nf::NetworkFunction& nf, const pktgen::Trace& trace,
   opts.measure_packets = packets;
   opts.burst_size = kBurst;
   const pktgen::Pipeline pipeline(opts);
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto stats = pipeline.MeasureThroughputBurst(nf.BurstHandler(), trace);
-    best = stats.pps > best ? stats.pps : best;
-  }
-  return best;
+  return bench::Reps(bench::kReportReps, {[&] {
+           return pipeline.MeasureThroughputBurst(nf.BurstHandler(), trace).pps;
+         }})
+      .Best(0);
 }
 
 // The per-scenario NF factory: sweep points and twin replays both construct
@@ -186,16 +184,15 @@ obs::SloScenario RunSweep(const SweepContext& sc, bench::JsonReport* report) {
     cfg.burst_size = kBurst;
     cfg.max_service_ns = kServiceCeilingNs;
     const pktgen::OpenLoopEngine engine(cfg);
-    double best = 0.0;
-    for (int rep = 0; rep < 2; ++rep) {  // rep 0 warms the engine+NF paths
-      auto nf = sc.factory();
-      const double pps =
-          engine.Run(sc.trace, arrivals,
-                     pktgen::MeasuredService(nf->BurstHandler()))
-              .achieved_pps;
-      best = pps > best ? pps : best;
-    }
-    return best;
+    // Best of 2 with a fresh NF per pass: the first warms the engine+NF paths.
+    return bench::Reps(2, {[&] {
+             auto nf = sc.factory();
+             return engine
+                 .Run(sc.trace, arrivals,
+                      pktgen::MeasuredService(nf->BurstHandler()))
+                 .achieved_pps;
+           }})
+        .Best(0);
   }();
   slo.capacity_mpps = capacity_pps / 1e6;
 

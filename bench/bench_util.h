@@ -3,15 +3,19 @@
 #ifndef ENETSTL_BENCH_BENCH_UTIL_H_
 #define ENETSTL_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/app_chains.h"
 #include "nf/nf_interface.h"
 #include "nf/nf_registry.h"
+#include "obs/percentile.h"
 #include "pktgen/flowgen.h"
 #include "pktgen/pipeline.h"
 
@@ -124,42 +128,83 @@ inline u64 EnvPackets(u64 fallback) {
 }
 
 // Standard measurement sizes: large enough for stable single-core numbers,
-// small enough that the full suite completes in minutes.
-inline pktgen::Pipeline MakePipeline() {
-  pktgen::Pipeline::Options opts;
-  opts.warmup_packets = 20'000;
-  opts.measure_packets = EnvPackets(200'000);
-  return pktgen::Pipeline(opts);
-}
-
-// Best of three runs: the environment is a shared/virtualized core, so the
-// maximum over repeats is the least-perturbed estimate of the handler's rate.
-inline double MeasureMpps(const pktgen::PacketHandler& handler,
-                          const pktgen::Trace& trace) {
-  const auto pipeline = MakePipeline();
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto stats = pipeline.MeasureThroughput(handler, trace);
-    best = stats.pps > best ? stats.pps : best;
-  }
-  return best / 1e6;
-}
-
-// Best of three, burst-mode dispatch through the NF's ProcessBurst.
-inline double MeasureBurstMpps(nf::NetworkFunction& nf,
-                               const pktgen::Trace& trace, u32 burst_size) {
+// small enough that the full suite completes in minutes. `burst_size` only
+// matters to burst-mode passes.
+inline pktgen::Pipeline MakePipeline(u32 burst_size = 32) {
   pktgen::Pipeline::Options opts;
   opts.warmup_packets = 20'000;
   opts.measure_packets = EnvPackets(200'000);
   opts.burst_size = burst_size;
-  const pktgen::Pipeline pipeline(opts);
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto stats =
-        pipeline.MeasureThroughputBurst(nf.BurstHandler(), trace);
-    best = stats.pps > best ? stats.pps : best;
+  return pktgen::Pipeline(opts);
+}
+
+// The one repetition runner of the benches. Each pass callable runs one
+// timed pass and returns a rate; rep r runs every pass back to back, so slow
+// drift on the shared core lands on each pass of that rep alike. Both
+// statistics go through obs::SortedQuantile:
+//  * Best(i) — the max over reps: the least-perturbed estimate of pass i's
+//    rate, and what every printed Mpps column and JSON row reports;
+//  * PairedMedianRatio(i, base) — the median over reps of x_i[r] /
+//    x_base[r]. Drift cancels within each rep's pair, so ratio gates read
+//    this rather than a quotient of two independent maxima. 0 when no rep
+//    has a positive base rate.
+class Reps {
+ public:
+  using Pass = std::function<double()>;
+
+  Reps(int reps, const std::vector<Pass>& passes) : samples_(passes.size()) {
+    for (int rep = 0; rep < reps; ++rep) {
+      for (std::size_t i = 0; i < passes.size(); ++i) {
+        samples_[i].push_back(passes[i]());
+      }
+    }
   }
-  return best / 1e6;
+
+  double Best(std::size_t i) const { return Quantile(samples_[i], 1.0); }
+
+  double PairedMedianRatio(std::size_t i, std::size_t base) const {
+    std::vector<double> ratios;
+    for (std::size_t r = 0; r < samples_[base].size(); ++r) {
+      if (samples_[base][r] > 0.0) {
+        ratios.push_back(samples_[i][r] / samples_[base][r]);
+      }
+    }
+    return Quantile(std::move(ratios), 0.5);
+  }
+
+ private:
+  static double Quantile(std::vector<double> values, double q) {
+    std::sort(values.begin(), values.end());
+    return obs::SortedQuantile(values.data(), values.size(), q);
+  }
+
+  std::vector<std::vector<double>> samples_;  // [pass][rep]
+};
+
+// Rep count of the benches that only report (no ratio gate): the max over
+// reps is the least-perturbed estimate on a shared/virtualized core.
+inline constexpr int kReportReps = 3;
+
+// Best-of-kReportReps per-packet dispatch rate (Mpps).
+inline double MeasureMpps(const pktgen::PacketHandler& handler,
+                          const pktgen::Trace& trace) {
+  const pktgen::Pipeline pipeline = MakePipeline();
+  return Reps(kReportReps, {[&] {
+                return pipeline.MeasureThroughput(handler, trace).pps / 1e6;
+              }})
+      .Best(0);
+}
+
+// Best-of-kReportReps burst-mode rate through the NF's ProcessBurst (Mpps).
+inline double MeasureBurstMpps(nf::NetworkFunction& nf,
+                               const pktgen::Trace& trace, u32 burst_size) {
+  const pktgen::Pipeline pipeline = MakePipeline(burst_size);
+  return Reps(kReportReps, {[&] {
+                const auto stats =
+                    pipeline.MeasureThroughputBurst(nf.BurstHandler(), trace);
+                return stats.pps / 1e6;
+              }})
+      .Best(0);
 }
 
 // Percentage by which `enetstl` exceeds `baseline` (positive = faster).

@@ -4,7 +4,7 @@
 //      catalogue) and compose them into a ChainExecutor: each stage becomes
 //      an XDP program, linked through a prog-array map with bpf_tail_call.
 //   2. Drive packets through the chain — scalar (one tail-call walk per
-//      packet) and burst (stage-major, partition-and-regroup) give
+//      packet) and burst (the chain's fused program, folded at Load()) give
 //      bit-identical verdicts.
 //   3. Inspect the per-stage verdict histogram.
 //   4. Observe the kernel's MAX_TAIL_CALL_CNT: a 33-stage chain loads, a

@@ -114,8 +114,8 @@ class PcnBridge : public nf::NetworkFunction {
   // Datapath: one tail-call walk — ACL -> rate -> route.
   ebpf::XdpAction Process(ebpf::XdpContext& ctx) override;
 
-  // Burst path: the chain's stage-major partition-and-regroup schedule,
-  // verdict-identical to per-packet Process.
+  // Burst path: the chain's fused program (one stage-major pass over the
+  // burst), verdict-identical to per-packet Process.
   void ProcessBurst(ebpf::XdpContext* ctxs, u32 count,
                     ebpf::XdpAction* verdicts) override;
 

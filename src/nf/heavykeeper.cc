@@ -2,8 +2,11 @@
 
 #include "nf/nf_registry.h"
 
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "core/compare.h"
 #include "core/compare_inl.h"
@@ -57,8 +60,20 @@ u32 UpdateBuckets(HkBucket* buckets, const u32* pos, u32 rows, u32 cols,
 
 }  // namespace
 
+const HeavyKeeperConfig& HeavyKeeperBase::Checked(
+    const HeavyKeeperConfig& config) {
+  if (config.rows < 1 || config.rows > 8 ||
+      !std::has_single_bit(config.cols)) {
+    throw std::invalid_argument(
+        "HeavyKeeperConfig: rows must be in [1, 8] and cols a power of "
+        "two (rows " + std::to_string(config.rows) + ", cols " +
+        std::to_string(config.cols) + ")");
+  }
+  return config;
+}
+
 HeavyKeeperBase::HeavyKeeperBase(const HeavyKeeperConfig& config)
-    : config_(config), col_mask_(config.cols - 1) {
+    : config_(Checked(config)), col_mask_(config.cols - 1) {
   decay_thresholds_.resize(kDecayCap);
   for (u32 c = 0; c < kDecayCap; ++c) {
     const double p = std::pow(config.decay_base, -static_cast<double>(c));

@@ -47,6 +47,8 @@ struct HkTopEntry {
 
 class HeavyKeeperBase : public NetworkFunction {
  public:
+  // Throws std::invalid_argument unless rows is in [1, 8] and cols is a
+  // power of two.
   explicit HeavyKeeperBase(const HeavyKeeperConfig& config);
 
   virtual void Update(const void* key, std::size_t len, u32 flow_id) = 0;
@@ -77,6 +79,9 @@ class HeavyKeeperBase : public NetworkFunction {
   HeavyKeeperConfig config_;
   u32 col_mask_;
   std::vector<u32> decay_thresholds_;
+
+ private:
+  static const HeavyKeeperConfig& Checked(const HeavyKeeperConfig& config);
 };
 
 // All three variants implement the family-owned state-transfer blob

@@ -3,12 +3,26 @@
 #include "nf/nf_registry.h"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
+#include <string>
 
 #include "core/hash.h"
 #include "core/hash_inl.h"
 #include "ebpf/helper.h"
 
 namespace nf {
+
+const NitroConfig& NitroBase::Checked(const NitroConfig& config) {
+  if (config.rows < 1 || config.rows > 8 ||
+      !std::has_single_bit(config.cols)) {
+    throw std::invalid_argument(
+        "NitroConfig: rows must be in [1, 8] and cols a power of two (rows " +
+        std::to_string(config.rows) + ", cols " +
+        std::to_string(config.cols) + ")");
+  }
+  return config;
+}
 
 u32 NitroBase::MedianOfRows(const u32* vals) const {
   u32 sorted[8];

@@ -24,7 +24,7 @@
 namespace nf {
 
 struct NitroConfig {
-  u32 rows = 8;
+  u32 rows = 8;             // 1..8
   u32 cols = 4096;          // power of two
   double update_prob = 0.25;  // p
   u32 seed = 0x7f4a7c15u;
@@ -32,8 +32,10 @@ struct NitroConfig {
 
 class NitroBase : public NetworkFunction {
  public:
+  // Throws std::invalid_argument unless rows is in [1, 8] and cols is a
+  // power of two.
   explicit NitroBase(const NitroConfig& config)
-      : config_(config),
+      : config_(Checked(config)),
         col_mask_(config.cols - 1),
         inc_(static_cast<u32>(1.0 / config.update_prob + 0.5)) {}
 
@@ -60,6 +62,9 @@ class NitroBase : public NetworkFunction {
   NitroConfig config_;
   u32 col_mask_;
   u32 inc_;
+
+ private:
+  static const NitroConfig& Checked(const NitroConfig& config);
 };
 
 class NitroEbpf : public NitroBase {

@@ -88,9 +88,7 @@ void Telemetry::HistAdd(u16 scope, u64 ns, u32 weight) {
   if (hist == nullptr) {
     return;  // kInvalidScope (table full / compiled-out registration)
   }
-  hist->counts[Log2Bucket(ns)] += weight;
-  hist->total_ns += ns * weight;
-  hist->samples += weight;
+  hist->Add(ns, weight);
 }
 
 void Telemetry::EmitEvent(u16 scope, u16 kind, u32 flow, u64 ns) {

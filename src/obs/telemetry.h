@@ -57,11 +57,20 @@ struct LatencyHist {
   u64 counts[kBuckets] = {};
   u64 total_ns = 0;
   u64 samples = 0;
+
+  // Records `weight` samples of `ns` each.
+  void Add(u64 ns, u64 weight = 1);
 };
 
 inline u32 Log2Bucket(u64 ns) {
   const u32 w = static_cast<u32>(std::bit_width(ns));
   return w < LatencyHist::kBuckets ? w : LatencyHist::kBuckets - 1;
+}
+
+inline void LatencyHist::Add(u64 ns, u64 weight) {
+  counts[Log2Bucket(ns)] += weight;
+  total_ns += ns * weight;
+  samples += weight;
 }
 
 // Fixed-size record pushed through the ring buffer for each sampled event.

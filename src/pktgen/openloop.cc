@@ -16,12 +16,6 @@ inline double ExpNs(Rng& rng, double mean_ns) {
   return -std::log(1.0 - rng.NextDouble()) * mean_ns;
 }
 
-inline void HistAdd(obs::LatencyHist* hist, u64 ns) {
-  hist->counts[obs::Log2Bucket(ns)]++;
-  hist->total_ns += ns;
-  hist->samples++;
-}
-
 inline ebpf::XdpContext ContextOf(Packet& packet) {
   ebpf::XdpContext ctx;
   ctx.data = packet.frame;
@@ -124,7 +118,6 @@ OpenLoopEngine::OpenLoopEngine(const OpenLoopConfig& config)
     : config_(config) {
   config_.queue_capacity = std::max<u32>(config_.queue_capacity, 1);
   config_.burst_size = std::clamp(config_.burst_size, u32{1}, kMaxBurstSize);
-  config_.shards = std::max<u32>(config_.shards, 1);
 }
 
 OpenLoopStats OpenLoopEngine::Run(const Trace& trace,
@@ -139,27 +132,6 @@ OpenLoopStats OpenLoopEngine::Run(const Trace& trace,
   stats.offered = n;
   stats.offered_pps = OfferedPps(arrivals);
 
-  // Steer packets to shards by 5-tuple hash, preserving arrival order within
-  // each shard. Unparseable frames steer to shard 0 (they still consume
-  // service — the NF sees and aborts them, as a real datapath would).
-  std::vector<std::vector<u32>> order(config_.shards);
-  for (auto& o : order) {
-    o.reserve(n / config_.shards + 1);
-  }
-  for (u32 i = 0; i < n; ++i) {
-    u32 shard = 0;
-    if (config_.shards > 1) {
-      ebpf::XdpContext ctx = ContextOf(working[i]);
-      ebpf::FiveTuple tuple;
-      if (ebpf::ParseFiveTuple(ctx, &tuple)) {
-        shard = static_cast<u32>(
-                    (ebpf::FiveTupleHash{}(tuple) ^ config_.steer_seed)) %
-                config_.shards;
-      }
-    }
-    order[shard].push_back(i);
-  }
-
   obs::Telemetry& telemetry = obs::Telemetry::Global();
   const bool mirror =
       config_.obs_scope != obs::kInvalidScope && telemetry.enabled();
@@ -167,78 +139,74 @@ OpenLoopStats OpenLoopEngine::Run(const Trace& trace,
   ebpf::XdpContext ctxs[kMaxBurstSize];
   ebpf::XdpAction verdicts[kMaxBurstSize];
 
-  for (u32 shard = 0; shard < config_.shards; ++shard) {
-    const std::vector<u32>& seq = order[shard];
-    std::deque<u32> queue;  // admitted trace indices, FIFO
-    std::size_t next = 0;   // cursor into seq
-    u64 t_free = 0;         // virtual ns at which the server is free
+  std::deque<u32> queue;  // admitted trace indices, FIFO
+  u32 next = 0;           // next arrival not yet offered to the queue
+  u64 t_free = 0;         // virtual ns at which the server is free
 
-    while (next < seq.size() || !queue.empty()) {
-      if (queue.empty()) {
-        // Idle server: jump the virtual clock to the next arrival.
-        t_free = std::max(t_free, arrivals[seq[next]]);
-      }
-      // Admit everything that arrived while the server was busy (or at this
-      // exact instant). Queue-full arrivals tail-drop, counted exactly.
-      while (next < seq.size() && arrivals[seq[next]] <= t_free) {
-        if (queue.size() <
-            static_cast<std::size_t>(config_.queue_capacity)) {
-          queue.push_back(seq[next]);
-          ++stats.admitted;
-          stats.max_queue_depth =
-              std::max<u64>(stats.max_queue_depth, queue.size());
-        } else {
-          ++stats.dropped;
-        }
-        ++next;
-      }
-      if (queue.empty()) {
-        continue;  // nothing admitted yet; loop jumps to the next arrival
-      }
-
-      // Serve one burst from the queue head.
-      const u32 count = static_cast<u32>(std::min<std::size_t>(
-          queue.size(), config_.burst_size));
-      for (u32 i = 0; i < count; ++i) {
-        ctxs[i] = ContextOf(working[queue[i]]);
-        ctxs[i].rx_timestamp_ns = arrivals[queue[i]];
-      }
-      u64 service_ns = std::max<u64>(service(ctxs, count, verdicts), 1);
-      if (config_.max_service_ns > 0) {
-        service_ns = std::min(service_ns, config_.max_service_ns);
-      }
-      t_free += service_ns;
-      stats.last_departure_ns = std::max(stats.last_departure_ns, t_free);
-
-      const u64 avg_service_ns = service_ns / count;
-      for (u32 i = 0; i < count; ++i) {
-        const u32 idx = queue[i];
-        const u64 sojourn_ns = t_free - arrivals[idx];
-        HistAdd(&stats.sojourn, sojourn_ns);
-        HistAdd(&stats.service, avg_service_ns);
-        ++stats.served;
-        switch (verdicts[i]) {
-          case ebpf::XdpAction::kDrop:
-            ++stats.dropped_verdicts;
-            break;
-          case ebpf::XdpAction::kAborted:
-            ++stats.aborted;
-            break;
-          default:
-            ++stats.passed;
-            break;
-        }
-        if (config_.served_log != nullptr) {
-          config_.served_log->emplace_back(idx, verdicts[i]);
-        }
-        if (mirror) {
-          ebpf::XdpContext ctx = ContextOf(working[idx]);
-          telemetry.RecordSample(config_.obs_scope, sojourn_ns,
-                                 obs::FlowOf(ctx));
-        }
-      }
-      queue.erase(queue.begin(), queue.begin() + count);
+  while (next < n || !queue.empty()) {
+    if (queue.empty()) {
+      // Idle server: jump the virtual clock to the next arrival.
+      t_free = std::max(t_free, arrivals[next]);
     }
+    // Admit everything that arrived while the server was busy (or at this
+    // exact instant). Queue-full arrivals tail-drop, counted exactly.
+    while (next < n && arrivals[next] <= t_free) {
+      if (queue.size() < static_cast<std::size_t>(config_.queue_capacity)) {
+        queue.push_back(next);
+        ++stats.admitted;
+        stats.max_queue_depth =
+            std::max<u64>(stats.max_queue_depth, queue.size());
+      } else {
+        ++stats.dropped;
+      }
+      ++next;
+    }
+    if (queue.empty()) {
+      continue;  // nothing admitted yet; loop jumps to the next arrival
+    }
+
+    // Serve one burst from the queue head.
+    const u32 count = static_cast<u32>(
+        std::min<std::size_t>(queue.size(), config_.burst_size));
+    for (u32 i = 0; i < count; ++i) {
+      ctxs[i] = ContextOf(working[queue[i]]);
+      ctxs[i].rx_timestamp_ns = arrivals[queue[i]];
+    }
+    u64 service_ns = std::max<u64>(service(ctxs, count, verdicts), 1);
+    if (config_.max_service_ns > 0) {
+      service_ns = std::min(service_ns, config_.max_service_ns);
+    }
+    t_free += service_ns;
+    stats.last_departure_ns = t_free;
+
+    const u64 avg_service_ns = service_ns / count;
+    for (u32 i = 0; i < count; ++i) {
+      const u32 idx = queue[i];
+      const u64 sojourn_ns = t_free - arrivals[idx];
+      stats.sojourn.Add(sojourn_ns);
+      stats.service.Add(avg_service_ns);
+      ++stats.served;
+      switch (verdicts[i]) {
+        case ebpf::XdpAction::kDrop:
+          ++stats.dropped_verdicts;
+          break;
+        case ebpf::XdpAction::kAborted:
+          ++stats.aborted;
+          break;
+        default:
+          ++stats.passed;
+          break;
+      }
+      if (config_.served_log != nullptr) {
+        config_.served_log->emplace_back(idx, verdicts[i]);
+      }
+      if (mirror) {
+        ebpf::XdpContext ctx = ContextOf(working[idx]);
+        telemetry.RecordSample(config_.obs_scope, sojourn_ns,
+                               obs::FlowOf(ctx));
+      }
+    }
+    queue.erase(queue.begin(), queue.begin() + count);
   }
 
   if (stats.last_departure_ns > 0) {

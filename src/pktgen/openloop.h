@@ -12,7 +12,7 @@
 //  * Each packet carries a VIRTUAL ARRIVAL TIME drawn from a pluggable
 //    arrival process (Poisson, Markov-modulated ON/OFF, linear ramp) at a
 //    configured offered rate — the generator never waits for the server.
-//  * Arrivals feed bounded per-shard ingress queues. When the server falls
+//  * Arrivals feed a bounded ingress queue. When the server falls
 //    behind, the queue grows; when it is full, packets TAIL-DROP and are
 //    counted — overload is visible as queue depth and loss, exactly like a
 //    NIC ring, never as silent back-pressure.
@@ -23,11 +23,11 @@
 //    including time queued behind a stalled consumer. Recording sojourn from
 //    arrival rather than from dequeue is the coordinated-omission fix.
 //
-// The simulation is sequential and deterministic given (trace, arrivals,
-// service model): multi-shard runs simulate each shard's queue+server pair
-// independently in steering order, so differential tests can replay the
-// exact admitted sequence through a twin NF and demand bit-identical
+// The simulation is one queue+server pair, sequential and deterministic
+// given (trace, arrivals, service model), so differential tests can replay
+// the exact admitted sequence through a twin NF and demand bit-identical
 // verdicts (the scenario matrix's graceful-degradation invariant).
+// Multi-core load belongs to the slot engine (ShardedPipeline).
 #ifndef ENETSTL_PKTGEN_OPENLOOP_H_
 #define ENETSTL_PKTGEN_OPENLOOP_H_
 
@@ -87,14 +87,10 @@ ServiceModel MeasuredService(PacketBurstHandler handler);
 // --- Engine --------------------------------------------------------------
 
 struct OpenLoopConfig {
-  // Bounded ingress queue capacity per shard; arrivals beyond it tail-drop.
+  // Bounded ingress queue capacity; arrivals beyond it tail-drop.
   u32 queue_capacity = 1024;
   // Packets dequeued per service burst (clamped to [1, kMaxBurstSize]).
   u32 burst_size = 32;
-  // Independent queue+server pairs; packets steer by 5-tuple hash. Each
-  // shard is simulated with its own virtual clock.
-  u32 shards = 1;
-  u32 steer_seed = 0x9e3779b9u;
   // Ceiling on a single burst's service time (ns); 0 = unlimited. With a
   // MeasuredService model on a shared machine, an OS preemption of the
   // harness lands in the measured burst as a multi-millisecond spike and
@@ -129,8 +125,8 @@ struct OpenLoopStats {
   u64 dropped_verdicts = 0; // XDP_DROP verdicts (NF decisions, not queue loss)
   u64 aborted = 0;          // XDP_ABORTED verdicts
 
-  u64 max_queue_depth = 0;   // deepest any shard's queue got
-  u64 last_departure_ns = 0; // virtual makespan end (max across shards)
+  u64 max_queue_depth = 0;   // deepest the queue got
+  u64 last_departure_ns = 0; // virtual makespan end
   double offered_pps = 0.0;
   double achieved_pps = 0.0; // served / last_departure_ns
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <stdexcept>
 
 #include "ebpf/helper.h"
 #include "pktgen/flowgen.h"
@@ -164,6 +165,32 @@ TEST(HeavyKeeperDecay, MiceAreEvictedByElephants) {
   // The elephant's count must vastly exceed the mouse's residual estimate.
   EXPECT_GT(hk.Query(&elephant, 8), 1000u);
   EXPECT_LT(hk.Query(&mouse, 8), 100u);
+}
+
+
+// The row scratch holds eight positions and columns are masked with
+// `cols - 1`, so a row count outside [1, 8] or a column count that is not a
+// power of two is refused at construction, in every variant.
+TEST(HeavyKeeperRows, OutOfRangeGeometryIsRejectedInEveryVariant) {
+  for (const Kind kind : {Kind::kEbpf, Kind::kKernel, Kind::kEnetstl}) {
+    for (const u32 rows : {0u, 9u}) {
+      HeavyKeeperConfig config;
+      config.rows = rows;
+      EXPECT_THROW(Make(kind, config), std::invalid_argument)
+          << "rows " << rows << " kind " << static_cast<int>(kind);
+    }
+    for (const u32 cols : {0u, 3000u}) {
+      HeavyKeeperConfig config;
+      config.cols = cols;
+      EXPECT_THROW(Make(kind, config), std::invalid_argument)
+          << "cols " << cols << " kind " << static_cast<int>(kind);
+    }
+    for (const u32 rows : {1u, 8u}) {
+      HeavyKeeperConfig config;
+      config.rows = rows;
+      EXPECT_NO_THROW(Make(kind, config)) << "rows " << rows;
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "ebpf/helper.h"
 #include "pktgen/flowgen.h"
@@ -156,6 +157,32 @@ TEST(NitroConfigTest, IncIsInverseProbability) {
   }
   const u32 est = sketch.Query(key, 4);
   EXPECT_EQ(est % 8, 0u);  // all contributions are multiples of 1/p
+}
+
+
+// The row scratch holds eight counters and columns are masked with
+// `cols - 1`, so a row count outside [1, 8] or a column count that is not a
+// power of two is refused at construction, in every variant.
+TEST(NitroRows, OutOfRangeGeometryIsRejectedInEveryVariant) {
+  for (const Kind kind : {Kind::kEbpf, Kind::kKernel, Kind::kEnetstl}) {
+    for (const u32 rows : {0u, 9u}) {
+      NitroConfig config;
+      config.rows = rows;
+      EXPECT_THROW(Make(kind, config), std::invalid_argument)
+          << "rows " << rows << " kind " << static_cast<int>(kind);
+    }
+    for (const u32 cols : {0u, 3000u}) {
+      NitroConfig config;
+      config.cols = cols;
+      EXPECT_THROW(Make(kind, config), std::invalid_argument)
+          << "cols " << cols << " kind " << static_cast<int>(kind);
+    }
+    for (const u32 rows : {1u, 8u}) {
+      NitroConfig config;
+      config.rows = rows;
+      EXPECT_NO_THROW(Make(kind, config)) << "rows " << rows;
+    }
+  }
 }
 
 }  // namespace

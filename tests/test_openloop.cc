@@ -252,20 +252,6 @@ TEST(OpenLoopEngine, ServedLogCoversAdmittedInServiceOrder) {
   }
 }
 
-TEST(OpenLoopEngine, ShardedRunKeepsExactAccounting) {
-  const Trace trace = MakeTestTrace(16'000);
-  const auto arrivals = MakePoissonArrivals(6e6, 16'000, 41);
-  OpenLoopConfig cfg;
-  cfg.shards = 4;
-  cfg.queue_capacity = 128;
-  const OpenLoopEngine engine(cfg);
-  const OpenLoopStats stats = engine.Run(trace, arrivals, FixedService(8'000));
-  EXPECT_EQ(stats.offered, 16'000u);
-  EXPECT_EQ(stats.offered, stats.admitted + stats.dropped);
-  EXPECT_EQ(stats.admitted, stats.served);
-  EXPECT_LE(stats.max_queue_depth, 128u);
-}
-
 TEST(OpenLoopEngine, ServiceCeilingClipsHarnessSpikes) {
   // One scripted 10 ms spike in an otherwise fast service. With the ceiling
   // engaged the virtual clock charges at most max_service_ns for it, so the
