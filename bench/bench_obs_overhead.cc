@@ -107,7 +107,10 @@ int main(int argc, char** argv) {
     // overhead estimate is PAIRED: each rep measures off and every sampling
     // rate back-to-back, and the overhead is 1 - the median over reps of
     // each rate's ratio to that same rep's off pass (drift cancels within
-    // the pair). The Mpps columns stay best-of-reps.
+    // the pair). The Mpps columns stay best-of-reps. Fifteen reps, as for
+    // bench_reconfig's dip gate. The worst-depth 1/64 overhead sits near the
+    // 5% budget on a 4-vCPU Xeon (EXPERIMENTS.md), so the verdict can still
+    // flip between runs.
     std::vector<bench::Reps::Pass> passes;
     for (int c = 0; c < kNumConfigs; ++c) {
       passes.push_back([&, c] {
@@ -122,7 +125,7 @@ int main(int argc, char** argv) {
         return stats.pps / 1e6;
       });
     }
-    const bench::Reps reps(9, passes);
+    const bench::Reps reps(15, passes);
     std::printf("%-12u", depth);
     for (int c = 0; c < kNumConfigs; ++c) {
       const double overhead_pct =

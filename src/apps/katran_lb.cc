@@ -200,29 +200,23 @@ void KatranLb::ProcessBurst(ebpf::XdpContext* ctxs, u32 count,
         verdicts[start + i] = ebpf::XdpAction::kAborted;
       }
     }
-    // Batched two-stage paired probe over the whole burst; cached results
-    // are trusted until the first in-burst insert bumps the mutation epoch.
+    // Batched two-stage paired probe over the whole burst; Revalidate
+    // resolves each result against the table as earlier inserts (and their
+    // LRU evictions) left it, so a new flow repeated within the burst counts
+    // as a hit and an evicted one as a miss, as per packet.
     conn_->FindBatch(keys, parsed, 0, looks);
-    const u64 epoch = conn_->mutation_epoch();
     for (u32 i = 0; i < parsed; ++i) {
-      if (conn_->mutation_epoch() == epoch &&
-          looks[i].kind == nf::FlowTable::Lookup::kHit) {
+      u8 dir = 0;
+      u32 handle = nf::FlowTable::kNullRef;
+      if (conn_->Revalidate(keys[i], looks[i], 0, &dir, &handle) != nullptr) {
         ++hits_;
       } else {
-        u8 dir;
-        u32 handle;
-        if (conn_->Find(keys[i], 0, &dir, &handle) != nullptr) {
-          // A new flow repeated within the burst: an earlier miss already
-          // recorded it, so per-packet semantics make this one a hit.
-          ++hits_;
-        } else {
-          ++misses_;
-          const u32 h = enetstl::HwHashCrc(&keys[i], sizeof(keys[i]),
-                                           config_.seed);
-          conn_->Insert(keys[i], nf::FlowTable::ReverseTuple(keys[i]),
-                        ring_[h % config_.ring_size],
-                        nf::FlowState::kEstablished, 0, 0, 0, &handle);
-        }
+        ++misses_;
+        const u32 h =
+            enetstl::HwHashCrc(&keys[i], sizeof(keys[i]), config_.seed);
+        conn_->Insert(keys[i], nf::FlowTable::ReverseTuple(keys[i]),
+                      ring_[h % config_.ring_size],
+                      nf::FlowState::kEstablished, 0, 0, 0, &handle);
       }
       verdicts[idx[i]] = ebpf::XdpAction::kTx;
     }

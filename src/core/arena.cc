@@ -117,27 +117,4 @@ void SlabArena::Free(Handle handle) {
   --live_slots_;
 }
 
-void* SlabArena::Deref(Handle handle) const {
-  if (!IsLive(handle)) {
-    return nullptr;
-  }
-  const Slab& slab = slabs_[handle >> kSlotBits];
-  return slab.base +
-         static_cast<std::size_t>(handle & kSlotMask) * slab.slot_size;
-}
-
-bool SlabArena::IsLive(Handle handle) const {
-  if (handle == kNullHandle) {
-    return false;
-  }
-  const u32 slab_id = handle >> kSlotBits;
-  const u32 slot = handle & kSlotMask;
-  if (slab_id >= slabs_.size()) {
-    return false;
-  }
-  const Slab& slab = slabs_[slab_id];
-  return slot < slab.num_slots &&
-         (slab.live[slot >> 6] & (1ull << (slot & 63))) != 0;
-}
-
 }  // namespace enetstl

@@ -88,9 +88,30 @@ class SlabArena {
   void Free(Handle handle);
 
   // Slot address for a live handle; nullptr for free/garbage handles.
-  void* Deref(Handle handle) const;
+  // Inline: pointer-chasing callers (hash chains, LRU lists, timer
+  // delivery) deref on every hop.
+  void* Deref(Handle handle) const {
+    if (!IsLive(handle)) {
+      return nullptr;
+    }
+    const Slab& slab = slabs_[handle >> kSlotBits];
+    return slab.base +
+           static_cast<std::size_t>(handle & kSlotMask) * slab.slot_size;
+  }
 
-  bool IsLive(Handle handle) const;
+  bool IsLive(Handle handle) const {
+    if (handle == kNullHandle) {
+      return false;
+    }
+    const u32 slab_id = handle >> kSlotBits;
+    const u32 slot = handle & kSlotMask;
+    if (slab_id >= slabs_.size()) {
+      return false;
+    }
+    const Slab& slab = slabs_[slab_id];
+    return slot < slab.num_slots &&
+           (slab.live[slot >> 6] & (1ull << (slot & 63))) != 0;
+  }
 
   // Invokes fn(void* slot) for every live slot. Each occupancy word is
   // copied before its slots are visited, so the callback MAY free the slot

@@ -107,31 +107,60 @@ inline s32 CompareKey32Impl(const u8* a, const u8* b) {
 #endif
 }
 
+#if defined(ENETSTL_HAVE_AVX2)
+template <bool kMin>
+inline __m256i FoldU32(__m256i a, __m256i b) {
+  if constexpr (kMin) {
+    return _mm256_min_epu32(a, b);
+  } else {
+    return _mm256_max_epu32(a, b);
+  }
+}
+
+// Extreme value and its first index over count >= 8 u32s, all in registers:
+// fold the array into one vector (the tail through an overlapping load of
+// the last 8 lanes, which min/max tolerate), broadcast the extreme to every
+// lane with a permute/shuffle tree, then find its first occurrence with
+// cmpeq + movemask.
+template <bool kMin>
+inline s32 ExtremeIndexU32Avx2(const u32* arr, u32 count, u32* extreme) {
+  const auto load = [arr](u32 at) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(arr + at));
+  };
+  __m256i v = load(0);
+  for (u32 i = 8; i + 8 <= count; i += 8) {
+    v = FoldU32<kMin>(v, load(i));
+  }
+  if (count % 8 != 0) {
+    v = FoldU32<kMin>(v, load(count - 8));
+  }
+  v = FoldU32<kMin>(v, _mm256_permute2x128_si256(v, v, 0x01));
+  v = FoldU32<kMin>(v, _mm256_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
+  v = FoldU32<kMin>(v, _mm256_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1)));
+  *extreme = static_cast<u32>(_mm256_cvtsi256_si32(v));
+  const auto match = [&](u32 at) {
+    return static_cast<u32>(_mm256_movemask_ps(
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(load(at), v))));
+  };
+  for (u32 i = 0; i + 8 <= count; i += 8) {
+    const u32 mask = match(i);
+    if (mask != 0) {
+      return static_cast<s32>(i + Ffs64(mask));
+    }
+  }
+  // The extreme lies in the tail. The overlapping lanes were scanned above
+  // and held no match, so the first set bit is the first occurrence.
+  return static_cast<s32>(count - 8 + Ffs64(match(count - 8)));
+}
+#endif
+
 inline s32 MinIndexU32Impl(const u32* arr, u32 count, u32* min_val) {
   if (count == 0) {
     return -1;
   }
 #if defined(ENETSTL_HAVE_AVX2)
   if (count >= 8) {
-    __m256i vmin = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(arr));
-    u32 i = 8;
-    for (; i + 8 <= count; i += 8) {
-      const __m256i v =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(arr + i));
-      vmin = _mm256_min_epu32(vmin, v);
-    }
-    alignas(32) u32 lanes[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vmin);
-    u32 best = lanes[0];
-    for (int l = 1; l < 8; ++l) {
-      best = lanes[l] < best ? lanes[l] : best;
-    }
-    for (u32 t = i; t < count; ++t) {
-      best = arr[t] < best ? arr[t] : best;
-    }
-    const s32 idx = FindU32Impl(arr, count, best);
-    *min_val = best;
-    return idx;
+    return ExtremeIndexU32Avx2<true>(arr, count, min_val);
   }
 #endif
   return scalar::MinIndexU32(arr, count, min_val);
@@ -143,25 +172,7 @@ inline s32 MaxIndexU32Impl(const u32* arr, u32 count, u32* max_val) {
   }
 #if defined(ENETSTL_HAVE_AVX2)
   if (count >= 8) {
-    __m256i vmax = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(arr));
-    u32 i = 8;
-    for (; i + 8 <= count; i += 8) {
-      const __m256i v =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(arr + i));
-      vmax = _mm256_max_epu32(vmax, v);
-    }
-    alignas(32) u32 lanes[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vmax);
-    u32 best = lanes[0];
-    for (int l = 1; l < 8; ++l) {
-      best = lanes[l] > best ? lanes[l] : best;
-    }
-    for (u32 t = i; t < count; ++t) {
-      best = arr[t] > best ? arr[t] : best;
-    }
-    const s32 idx = FindU32Impl(arr, count, best);
-    *max_val = best;
-    return idx;
+    return ExtremeIndexU32Avx2<false>(arr, count, max_val);
   }
 #endif
   return scalar::MaxIndexU32(arr, count, max_val);

@@ -1,5 +1,6 @@
 #include "nf/conntrack.h"
 
+#include <cstddef>
 #include <cstring>
 
 #include "core/fault_injector.h"
@@ -28,6 +29,10 @@ enetstl::SlabArena::Options ArenaOptionsFor(const FlowTableConfig& config) {
   enetstl::SlabArena::Options options;
   const u32 slot_size = 128;
   static_assert(sizeof(FlowEntry) <= 128);
+  // Slots start on a cache line, so these fields share the first one: the
+  // burst path prefetches only it for a hit.
+  static_assert(offsetof(FlowEntry, flags) < 64 &&
+                offsetof(FlowEntry, timer) == 64);
   options.max_slot_bytes = slot_size;
   options.target_slab_bytes = enetstl::SlabArena::kSlotsPerSlab * slot_size;
   const u32 per_slab = enetstl::SlabArena::kSlotsPerSlab;
@@ -94,9 +99,9 @@ u32 FlowTable::BucketOf(const ebpf::FiveTuple& key) const {
   return enetstl::HwHashCrc(&key, sizeof(key), config_.seed) & bucket_mask_;
 }
 
-FlowEntry* FlowTable::FindRaw(const ebpf::FiveTuple& key, u8* dir,
+FlowEntry* FlowTable::FindRaw(u32 bucket, const ebpf::FiveTuple& key, u8* dir,
                               u32* handle) const {
-  u32 ref = buckets_[BucketOf(key)];
+  u32 ref = buckets_[bucket];
   while (ref != kNullRef) {
     const u8 d = static_cast<u8>(ref >> 31);
     const u32 h = ref & kHandleMask;
@@ -111,9 +116,9 @@ FlowEntry* FlowTable::FindRaw(const ebpf::FiveTuple& key, u8* dir,
   return nullptr;
 }
 
-FlowEntry* FlowTable::Find(const ebpf::FiveTuple& key, u64 now_ns, u8* dir,
-                           u32* handle) {
-  FlowEntry* e = FindRaw(key, dir, handle);
+FlowEntry* FlowTable::FindIn(u32 bucket, const ebpf::FiveTuple& key,
+                             u64 now_ns, u8* dir, u32* handle) {
+  FlowEntry* e = FindRaw(bucket, key, dir, handle);
   if (e == nullptr) {
     return nullptr;
   }
@@ -125,10 +130,15 @@ FlowEntry* FlowTable::Find(const ebpf::FiveTuple& key, u64 now_ns, u8* dir,
   return e;
 }
 
+FlowEntry* FlowTable::Find(const ebpf::FiveTuple& key, u64 now_ns, u8* dir,
+                           u32* handle) {
+  return FindIn(BucketOf(key), key, now_ns, dir, handle);
+}
+
 const FlowEntry* FlowTable::FindConst(const ebpf::FiveTuple& key, u64 now_ns,
                                       u8* dir) const {
   u32 handle;
-  const FlowEntry* e = FindRaw(key, dir, &handle);
+  const FlowEntry* e = FindRaw(BucketOf(key), key, dir, &handle);
   if (e == nullptr || e->expires_ns <= now_ns) {
     return nullptr;
   }
@@ -144,7 +154,8 @@ void FlowTable::FindBatch(const ebpf::FiveTuple* keys, u32 n, u64 now_ns,
                              buckets_.data(), sizeof(u32), bucket_mask_,
                              hashes);
   // Stage 2: read the bucket heads (now cached) and prefetch the first chain
-  // entry of every key before any chain walk touches one.
+  // entry of every key before any chain walk touches one. One line: a hit's
+  // consumer reads nothing from FlowEntry's second line.
   u32 refs[kMaxNfBurst];
   for (u32 i = 0; i < n; ++i) {
     refs[i] = buckets_[hashes[i] & bucket_mask_];
@@ -157,6 +168,8 @@ void FlowTable::FindBatch(const ebpf::FiveTuple* keys, u32 n, u64 now_ns,
   for (u32 i = 0; i < n; ++i) {
     Lookup& lk = out[i];
     lk = Lookup{};
+    lk.bucket = hashes[i] & bucket_mask_;
+    lk.epoch = static_cast<u32>(mutation_epoch_);
     u32 ref = refs[i];
     while (ref != kNullRef) {
       const u8 d = static_cast<u8>(ref >> 31);
@@ -170,6 +183,41 @@ void FlowTable::FindBatch(const ebpf::FiveTuple* keys, u32 n, u64 now_ns,
         break;
       }
       ref = e->next[d];
+    }
+  }
+}
+
+FlowEntry* FlowTable::Revalidate(const ebpf::FiveTuple& key,
+                                 const Lookup& cached, u64 now_ns, u8* dir,
+                                 u32* handle) {
+  if (cached.epoch == static_cast<u32>(mutation_epoch_)) {
+    // No insert or release since the probe: a miss is still a miss, and a
+    // hit is still the first match of its chain. Its expiry may have moved
+    // (a state change shortens it), so that is checked; a due entry takes
+    // the walk, which frees it as Find does.
+    if (cached.kind == Lookup::kMiss) {
+      return nullptr;
+    }
+    if (cached.kind == Lookup::kHit && cached.entry->expires_ns > now_ns) {
+      *dir = cached.dir;
+      *handle = cached.handle;
+      return cached.entry;
+    }
+  }
+  // Why not trust a still-live cached hit outright: an insert can shadow it.
+  // A NAT reply tuple is built from the binding, so a later flow's key[1]
+  // may equal this key; LinkIndex puts that flow at the chain head, and
+  // Find returns it first. The walk from the head sees exactly what Find
+  // sees.
+  return FindIn(cached.bucket, key, now_ns, dir, handle);
+}
+
+void FlowTable::PrefetchLruNeighbours(const Lookup* looks, u32 n) const {
+  for (u32 i = 0; i < n; ++i) {
+    if (looks[i].kind == Lookup::kHit) {
+      const FlowEntry* e = looks[i].entry;
+      enetstl::internal::PrefetchRead(arena_.Deref(e->lru_prev));
+      enetstl::internal::PrefetchRead(arena_.Deref(e->lru_next));
     }
   }
 }
@@ -319,7 +367,7 @@ void FlowTable::Release(FlowEntry* entry, u32 handle) {
 bool FlowTable::Erase(const ebpf::FiveTuple& key) {
   u8 dir;
   u32 handle;
-  FlowEntry* e = FindRaw(key, &dir, &handle);
+  FlowEntry* e = FindRaw(BucketOf(key), key, &dir, &handle);
   if (e == nullptr) {
     return false;
   }
@@ -388,16 +436,26 @@ u32 FlowTable::Advance(u64 until_ns) {
   // next slot), so the inner loop terminates.
   TwElem due[4 * kMaxNfBurst];
   constexpr u32 kDueMax = 4 * kMaxNfBurst;
-  while (wheel_->clock_ns() + config_.wheel_granularity_ns <= until_ns) {
-    u32 n = wheel_->AdvanceOneSlot(due, kDueMax);
+  // Every delivery dereferences a cold entry, both lines of it (expiry in
+  // the first, the timer handle in the second): prefetch the whole batch's
+  // entries first, then deliver in wheel order.
+  const auto deliver = [&](u32 n) {
+    for (u32 i = 0; i < n; ++i) {
+      if (const auto* e = static_cast<const u8*>(arena_.Deref(due[i].flow))) {
+        enetstl::internal::PrefetchRead(e);
+        enetstl::internal::PrefetchRead(e + 64);
+      }
+    }
     for (u32 i = 0; i < n; ++i) {
       evicted += OnTimerDelivery(due[i].flow);
     }
+  };
+  while (wheel_->clock_ns() + config_.wheel_granularity_ns <= until_ns) {
+    u32 n = wheel_->AdvanceOneSlot(due, kDueMax);
+    deliver(n);
     while (n == kDueMax) {
       n = wheel_->DrainCurrentSlot(due, kDueMax);
-      for (u32 i = 0; i < n; ++i) {
-        evicted += OnTimerDelivery(due[i].flow);
-      }
+      deliver(n);
     }
   }
   return evicted;
@@ -851,28 +909,21 @@ void ConntrackEnetstl::ProcessBurst(ebpf::XdpContext* ctxs, u32 count,
       }
       return;
     }
-    // Consume the batch. Cached results stay valid only while no packet has
-    // structurally mutated the table (insert / teardown / lazy free); after
-    // that — and for expired hits, which the scalar path lazily frees — the
-    // packet re-probes through Find, keeping verdicts AND rewrites
-    // bit-identical to scalar Process.
-    const u64 epoch = table_.mutation_epoch();
+    // Every hit refreshes, and the LRU touch writes both neighbours: fetch
+    // them for the whole chunk before the first packet is consumed.
+    table_.PrefetchLruNeighbours(looks, chunk);
+    // Consume the batch. Revalidate resolves each cached result against the
+    // table as earlier packets left it (inserts, teardowns, lazy frees), so
+    // verdicts AND rewrites stay bit-identical to scalar Process.
     for (u32 i = 0; i < chunk; ++i) {
       if (!parsed[i]) {
         verdicts[start + i] = ebpf::XdpAction::kAborted;
         continue;
       }
-      FlowEntry* e = nullptr;
       u8 dir = 0;
       u32 handle = FlowTable::kNullRef;
-      const bool fresh = table_.mutation_epoch() == epoch;
-      if (fresh && looks[i].kind == FlowTable::Lookup::kHit) {
-        e = looks[i].entry;
-        dir = looks[i].dir;
-        handle = looks[i].handle;
-      } else if (!fresh || looks[i].kind == FlowTable::Lookup::kExpired) {
-        e = table_.Find(keys[i], now_ns_, &dir, &handle);
-      }
+      FlowEntry* e =
+          table_.Revalidate(keys[i], looks[i], now_ns_, &dir, &handle);
       verdicts[start + i] =
           HandleLookup(ctxs[start + i], keys[i], keys[i].protocol,
                        TcpFlagsOf(ctxs[start + i]), e, dir, handle);

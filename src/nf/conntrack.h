@@ -72,19 +72,24 @@ struct FlowTableConfig {
 
 // One tracked flow in the arena engine. key[0] is the forward (initiator)
 // tuple, key[1] the reverse/reply tuple; next[d] chains the entry under
-// key[d]'s index bucket. 76 payload bytes -> one 128-byte arena slot.
+// key[d]'s index bucket. 76 payload bytes -> one 128-byte arena slot, on two
+// cache lines. The first holds everything a lookup and a conntrack/NAT hit
+// touch (tuples, chain and LRU links, expiry, state, NAT binding), so the
+// burst path fetches one line per hit; the second holds what only timer
+// arm/cancel and the Katran backend read.
 struct FlowEntry {
   ebpf::FiveTuple key[2];
   u32 next[2];  // tagged chain links (bit 31 = direction of the next node)
   u32 lru_prev;
   u32 lru_next;
   u64 expires_ns;
-  u64 timer;  // cancellable timewheel handle; kNoTimer when unarmed
-  u32 value;  // caller payload (katran: backend id)
   u32 nat_ip;
   u16 nat_port;
   FlowState state;
   u8 flags;
+  // Second cache line.
+  u64 timer;  // cancellable timewheel handle; kNoTimer when unarmed
+  u32 value;  // caller payload (katran: backend id)
 };
 
 u64 CtTimeoutFor(const FlowTableConfig& config, FlowState state);
@@ -111,6 +116,11 @@ class FlowTable {
     Kind kind = kMiss;
     u8 dir = 0;
     u32 handle = kNullRef;
+    // For Revalidate: the probed key's index bucket, and the low 32 bits of
+    // mutation_epoch() at probe time (a burst makes far fewer than 2^32
+    // structural changes, so the truncation never aliases).
+    u32 bucket = 0;
+    u32 epoch = 0;
     FlowEntry* entry = nullptr;
   };
 
@@ -129,10 +139,25 @@ class FlowTable {
 
   // Batched two-stage paired lookup (LookupPairBatch): stage 1 hashes every
   // key and prefetches its index bucket through one kfunc boundary, stage 2
-  // prefetches the first chain entry per key, stage 3 confirms. Pure — due
-  // entries come back as kExpired for the caller to collect through Find.
-  // n is at most kMaxNfBurst.
+  // prefetches the first chain entry per key, stage 3 confirms. Pure — due entries come back as kExpired for the caller to
+  // collect through Revalidate (or Find). n is at most kMaxNfBurst.
   void FindBatch(const ebpf::FiveTuple* keys, u32 n, u64 now_ns, Lookup* out);
+
+  // Consumes one FindBatch result after earlier packets of the same burst
+  // may have inserted or released flows: returns exactly what
+  // Find(key, now_ns, dir, handle) returns at this point, lazy expiry
+  // included. While nothing was inserted or released since the probe, the
+  // cached hit or miss is already that answer; after that it re-walks the
+  // key's chain from the bucket FindBatch already hashed — lines the batch
+  // brought into cache — so a burst that mutates the table never pays a
+  // second hash-and-probe per packet.
+  FlowEntry* Revalidate(const ebpf::FiveTuple& key, const Lookup& cached,
+                        u64 now_ns, u8* dir, u32* handle);
+
+  // Prefetches the LRU neighbours of every kHit in a FindBatch result: the
+  // two entries Refresh's LRU touch writes. For consumers that refresh on
+  // hit; a pure lookup does not need them.
+  void PrefetchLruNeighbours(const Lookup* looks, u32 n) const;
 
   // Creates a flow with the given tuple pair. Both index insertions commit
   // together after the entry is initialized. Arena exhaustion evicts the LRU
@@ -162,7 +187,8 @@ class FlowTable {
   void Clear();
 
   // Bumped on every structural change (insert / erase / lazy expiry / sweep
-  // eviction). Batched callers use it to validate cached FindBatch results.
+  // eviction). Revalidate's fast path reads it; tests use it to pin
+  // FindBatch's purity.
   u64 mutation_epoch() const { return mutation_epoch_; }
 
   u32 live_flows() const { return arena_.live_slots(); }
@@ -196,7 +222,10 @@ class FlowTable {
 
  private:
   u32 BucketOf(const ebpf::FiveTuple& key) const;
-  FlowEntry* FindRaw(const ebpf::FiveTuple& key, u8* dir, u32* handle) const;
+  FlowEntry* FindRaw(u32 bucket, const ebpf::FiveTuple& key, u8* dir,
+                     u32* handle) const;
+  FlowEntry* FindIn(u32 bucket, const ebpf::FiveTuple& key, u64 now_ns,
+                    u8* dir, u32* handle);
   void LinkIndex(u32 handle, FlowEntry* entry, u8 dir);
   void UnlinkIndex(u32 handle, FlowEntry* entry, u8 dir);
   void LruPushFront(u32 handle, FlowEntry* entry);
@@ -374,10 +403,10 @@ class ConntrackEnetstl : public ConntrackBase {
  public:
   explicit ConntrackEnetstl(const ConntrackConfig& config);
   ebpf::XdpAction Process(ebpf::XdpContext& ctx) override;
-  // Batched path: one LookupPairBatch over the chunk, then per-packet
-  // consumption that trusts cached results only while the table's mutation
-  // epoch is unchanged (in-burst creations/teardowns re-probe scalar), so
-  // verdicts AND rewrites are bit-identical to per-packet Process.
+  // Batched path: one LookupPairBatch over the chunk, a prefetch of every
+  // hit's LRU neighbours, then per-packet consumption through
+  // FlowTable::Revalidate, so verdicts AND rewrites are bit-identical to
+  // per-packet Process however the burst mutates the table.
   void ProcessBurst(ebpf::XdpContext* ctxs, u32 count,
                     ebpf::XdpAction* verdicts) override;
   // kFilter only: pure batched membership over the paired index.

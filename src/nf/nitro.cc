@@ -21,6 +21,15 @@ const NitroConfig& NitroBase::Checked(const NitroConfig& config) {
         std::to_string(config.rows) + ", cols " +
         std::to_string(config.cols) + ")");
   }
+  // 1 / p becomes the per-sample increment and p the geometric pool's
+  // success probability: p <= 0 (or NaN) makes the u32 conversion of 1 / p
+  // undefined and the pool's skips unbounded; p > 1 rounds the increment to
+  // 0 or 1.
+  if (!(config.update_prob > 0.0 && config.update_prob <= 1.0)) {
+    throw std::invalid_argument(
+        "NitroConfig: update_prob must be in (0, 1] (got " +
+        std::to_string(config.update_prob) + ")");
+  }
   return config;
 }
 

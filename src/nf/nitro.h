@@ -32,8 +32,8 @@ struct NitroConfig {
 
 class NitroBase : public NetworkFunction {
  public:
-  // Throws std::invalid_argument unless rows is in [1, 8] and cols is a
-  // power of two.
+  // Throws std::invalid_argument unless rows is in [1, 8], cols is a power
+  // of two and update_prob is in (0, 1].
   explicit NitroBase(const NitroConfig& config)
       : config_(Checked(config)),
         col_mask_(config.cols - 1),

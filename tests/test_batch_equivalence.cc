@@ -341,5 +341,58 @@ TEST(ProcessBurst, KatranBackendDecisionsMatchScalar) {
   }
 }
 
+// A full connection table, a burst that opens a new flow, repeats it, and
+// revisits flows the new flow's insert evicted (the LRU-oldest: Katran hits
+// do not refresh). Each revisit misses and evicts the next oldest, exactly
+// as per-packet processing does, though the batch probe had cached every
+// revisited flow as a hit.
+TEST(ProcessBurst, KatranRepeatedNewFlowAndEvictionMatchScalar) {
+  apps::KatranConfig config;
+  config.conn_table_size = 256;  // one arena slab: the 257th flow evicts
+  apps::KatranLb burst_nf(apps::CoreKind::kEnetstl, config);
+  apps::KatranLb scalar_nf(apps::CoreKind::kEnetstl, config);
+  const auto flows = pktgen::MakeFlowPopulation(260, 0x4a7);
+  for (u32 i = 0; i < 256; ++i) {
+    pktgen::Packet p = pktgen::Packet::FromTuple(flows[i]);
+    ebpf::XdpContext ctx{p.frame, p.frame + ebpf::kFrameSize, 0};
+    (void)burst_nf.Process(ctx);
+    pktgen::Packet q = pktgen::Packet::FromTuple(flows[i]);
+    ebpf::XdpContext qctx{q.frame, q.frame + ebpf::kFrameSize, 0};
+    (void)scalar_nf.Process(qctx);
+  }
+  const ebpf::FiveTuple fresh = flows[256];
+  std::vector<pktgen::Packet> trace;
+  for (const ebpf::FiveTuple& t :
+       {flows[5], fresh, fresh, flows[0], flows[1], fresh, flows[0],
+        flows[2], flows[5]}) {
+    trace.push_back(pktgen::Packet::FromTuple(t));
+  }
+  std::vector<ebpf::XdpContext> ctxs(trace.size());
+  for (u32 i = 0; i < trace.size(); ++i) {
+    ctxs[i] = ebpf::XdpContext{trace[i].frame,
+                               trace[i].frame + ebpf::kFrameSize, 0};
+  }
+  std::vector<ebpf::XdpAction> verdicts(trace.size());
+  const u64 hits0 = burst_nf.hits();
+  const u64 misses0 = burst_nf.misses();
+  burst_nf.ProcessBurst(ctxs.data(), static_cast<u32>(trace.size()),
+                        verdicts.data());
+  for (u32 i = 0; i < trace.size(); ++i) {
+    pktgen::Packet p = trace[i];
+    ebpf::XdpContext ctx{p.frame, p.frame + ebpf::kFrameSize, 0};
+    EXPECT_EQ(verdicts[i], scalar_nf.Process(ctx)) << "i=" << i;
+  }
+  EXPECT_EQ(burst_nf.hits(), scalar_nf.hits());
+  EXPECT_EQ(burst_nf.misses(), scalar_nf.misses());
+  // fresh, flows[0], flows[1] and flows[2] each miss once in the burst.
+  EXPECT_EQ(burst_nf.misses() - misses0, 4u);
+  EXPECT_EQ(burst_nf.hits() - hits0, 5u);
+  std::vector<ebpf::u8> burst_state;
+  std::vector<ebpf::u8> scalar_state;
+  ASSERT_TRUE(burst_nf.ExportState(burst_state));
+  ASSERT_TRUE(scalar_nf.ExportState(scalar_state));
+  EXPECT_EQ(burst_state, scalar_state);
+}
+
 }  // namespace
 }  // namespace nf

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "pktgen/flowgen.h"
@@ -153,19 +154,42 @@ TEST_P(CompareProperty, MinMaxMatchScalar) {
   if (count == 0) {
     return;
   }
+  const auto expect_match = [](const std::vector<u32>& arr, u32 n) {
+    u32 simd_min = 0, scalar_min = 0, simd_max = 0, scalar_max = 0;
+    ASSERT_EQ(MinIndexU32(arr.data(), n, &simd_min),
+              scalar::MinIndexU32(arr.data(), n, &scalar_min))
+        << "n=" << n;
+    ASSERT_EQ(simd_min, scalar_min) << "n=" << n;
+    ASSERT_EQ(MaxIndexU32(arr.data(), n, &simd_max),
+              scalar::MaxIndexU32(arr.data(), n, &scalar_max))
+        << "n=" << n;
+    ASSERT_EQ(simd_max, scalar_max) << "n=" << n;
+  };
   pktgen::Rng rng(3000 + count);
   for (int round = 0; round < 200; ++round) {
     std::vector<u32> arr(count);
     for (auto& v : arr) {
       v = static_cast<u32>(rng.NextBounded(10));  // heavy duplicates
     }
-    u32 simd_min = 0, scalar_min = 0, simd_max = 0, scalar_max = 0;
-    ASSERT_EQ(MinIndexU32(arr.data(), count, &simd_min),
-              scalar::MinIndexU32(arr.data(), count, &scalar_min));
-    ASSERT_EQ(simd_min, scalar_min);
-    ASSERT_EQ(MaxIndexU32(arr.data(), count, &simd_max),
-              scalar::MaxIndexU32(arr.data(), count, &scalar_max));
-    ASSERT_EQ(simd_max, scalar_max);
+    expect_match(arr, count);
+  }
+  // Full-range values, the unsigned extremes repeated among them, checked
+  // at the full count and at every prefix length from 8 to 40: each prefix
+  // ends in a different tail, which the vector reduce folds in with an
+  // overlapping load.
+  constexpr u32 kEdges[] = {0u, 1u, 0x7fffffffu, 0x80000000u, 0xfffffffeu,
+                            0xffffffffu};
+  for (int round = 0; round < 200; ++round) {
+    std::vector<u32> arr(count);
+    for (auto& v : arr) {
+      v = rng.NextBounded(2) == 0
+              ? kEdges[rng.NextBounded(std::size(kEdges))]
+              : rng.NextU32();
+    }
+    expect_match(arr, count);
+    for (u32 n = 8; n <= 40 && n < count; ++n) {
+      expect_match(arr, n);
+    }
   }
 }
 

@@ -2,13 +2,15 @@
 // visibility, lazy expiry, timewheel sweeps, LRU degradation, batched lookup
 // purity), the TCP-ish state machine and SNAT rewrites of both engine
 // variants, burst/scalar bit-identity under churn (including the 3*64+7
-// remainder tail), filter-mode lowering to a fused key op, and cross-variant
-// state transfer.
+// remainder tail), filter-mode lowering to a fused key op, cross-variant
+// state transfer, and burst revalidation of cached lookups after in-burst
+// inserts, teardowns and evictions.
 #include "nf/conntrack.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -444,7 +446,7 @@ using ConntrackNfTest = ConntrackTest;
 // Burst/scalar bit-identity under create/refresh/teardown churn, through the
 // 3*64+7 remainder tail (satellite: burst remainder tails through the
 // conntrack batched lookup path), with LRU capacity pressure so the
-// mutation-epoch fallback is exercised.
+// revalidation walk after in-burst mutations is exercised.
 TEST_F(ConntrackNfTest, BurstMatchesScalarWithChurnAndRemainderTail) {
   ConntrackConfig config;
   config.mode = CtMode::kTrack;
@@ -661,6 +663,241 @@ TEST_F(ConntrackNfTest, ExportImportPreservesFlowsAcrossVariants) {
   ConntrackEnetstl reject(config);
   EXPECT_FALSE(reject.ImportState(blob.data(), blob.size() - 5));
   EXPECT_FALSE(reject.ImportState(blob.data(), 3));
+}
+
+// ---------------------------------------------------------------------------
+// Burst revalidation: FindBatch results consumed after earlier packets of the
+// same burst inserted or released flows, against a per-packet twin.
+// ---------------------------------------------------------------------------
+
+using ConntrackBurst = ConntrackTest;
+
+// Runs `packets` as one ProcessBurst on `burst_ct` and one Process per packet
+// on `scalar_ct`, then expects identical verdicts, rewritten frames,
+// counters and exported state.
+void ExpectBurstMatchesTwin(ConntrackEnetstl& burst_ct,
+                            ConntrackEnetstl& scalar_ct,
+                            const std::vector<pktgen::Packet>& packets) {
+  std::vector<pktgen::Packet> a = packets;
+  std::vector<pktgen::Packet> b = packets;
+  const u32 n = static_cast<u32>(packets.size());
+  std::vector<ebpf::XdpContext> ctxs(n);
+  for (u32 i = 0; i < n; ++i) {
+    ctxs[i] = ebpf::XdpContext{a[i].frame, a[i].frame + ebpf::kFrameSize, 0};
+  }
+  std::vector<ebpf::XdpAction> verdicts(n, ebpf::XdpAction::kAborted);
+  burst_ct.ProcessBurst(ctxs.data(), n, verdicts.data());
+  for (u32 i = 0; i < n; ++i) {
+    EXPECT_EQ(verdicts[i], RunScalar(scalar_ct, b[i])) << "i=" << i;
+    EXPECT_EQ(std::memcmp(a[i].frame, b[i].frame, ebpf::kFrameSize), 0)
+        << "i=" << i;
+  }
+  EXPECT_EQ(burst_ct.hits(), scalar_ct.hits());
+  EXPECT_EQ(burst_ct.misses(), scalar_ct.misses());
+  EXPECT_EQ(burst_ct.created(), scalar_ct.created());
+  EXPECT_EQ(burst_ct.torn_down(), scalar_ct.torn_down());
+  EXPECT_EQ(burst_ct.dropped(), scalar_ct.dropped());
+  std::vector<u8> burst_state;
+  std::vector<u8> scalar_state;
+  ASSERT_TRUE(burst_ct.ExportState(burst_state));
+  ASSERT_TRUE(scalar_ct.ExportState(scalar_state));
+  EXPECT_EQ(burst_state, scalar_state);
+}
+
+// Opens `flows` on both tables, one scalar SYN each, in order.
+void OpenOnBoth(ConntrackEnetstl& x, ConntrackEnetstl& y,
+                const std::vector<ebpf::FiveTuple>& flows) {
+  for (const ebpf::FiveTuple& t : flows) {
+    pktgen::Packet p = MakePacket(t, kTcpSyn);
+    pktgen::Packet q = p;
+    ASSERT_EQ(RunScalar(x, p), ebpf::XdpAction::kPass);
+    ASSERT_EQ(RunScalar(y, q), ebpf::XdpAction::kPass);
+  }
+}
+
+u32 HandleOf(FlowTable& table, const ebpf::FiveTuple& key, u64 now_ns) {
+  u8 dir = 0;
+  u32 handle = FlowTable::kNullRef;
+  return table.Find(key, now_ns, &dir, &handle) != nullptr ? handle
+                                                          : FlowTable::kNullRef;
+}
+
+// RST of A frees its slot; the SYN of C right after takes the same slot
+// (LIFO). A's cached hit then names a live slot holding another flow.
+TEST_F(ConntrackBurst, RstThenSynReusingTheSlotMatchesScalar) {
+  for (const CtMode mode : {CtMode::kTrack, CtMode::kNat}) {
+    ConntrackConfig config;
+    config.mode = mode;
+    ConntrackEnetstl burst_ct(config);
+    ConntrackEnetstl scalar_ct(config);
+    const ebpf::FiveTuple a = TcpFlow(1);
+    const ebpf::FiveTuple b = TcpFlow(2);
+    const ebpf::FiveTuple c = TcpFlow(3);
+    OpenOnBoth(burst_ct, scalar_ct, {a, b});
+    const u32 a_slot = HandleOf(burst_ct.table(), a, 0);
+    ASSERT_NE(a_slot, FlowTable::kNullRef);
+    ExpectBurstMatchesTwin(
+        burst_ct, scalar_ct,
+        {MakePacket(a), MakePacket(a, kTcpRst), MakePacket(c, kTcpSyn),
+         MakePacket(a), MakePacket(c), MakePacket(b),
+         MakePacket(FlowTable::ReverseTuple(a)), MakePacket(a, kTcpRst)});
+    EXPECT_EQ(HandleOf(burst_ct.table(), c, 0), a_slot)
+        << "C must reuse A's slot for the case to be exercised";
+  }
+}
+
+// A reply-direction packet of a flow torn down earlier in the same burst:
+// its cached reverse hit is gone, so it misses and opens a flow of its own.
+TEST_F(ConntrackBurst, ReplyAfterInBurstTeardownMatchesScalar) {
+  ConntrackConfig config;
+  config.mode = CtMode::kTrack;
+  ConntrackEnetstl burst_ct(config);
+  ConntrackEnetstl scalar_ct(config);
+  const ebpf::FiveTuple a = TcpFlow(7);
+  const ebpf::FiveTuple reply = FlowTable::ReverseTuple(a);
+  OpenOnBoth(burst_ct, scalar_ct, {a, TcpFlow(8)});
+  ExpectBurstMatchesTwin(
+      burst_ct, scalar_ct,
+      {MakePacket(reply), MakePacket(a, kTcpRst), MakePacket(reply),
+       MakePacket(a), MakePacket(reply, kTcpRst), MakePacket(a)});
+}
+
+// Full table: the burst's first SYN evicts the LRU-oldest flow, which later
+// packets of the burst had cached as a hit (and whose slot the new flow
+// takes). Each miss after that evicts the next oldest.
+TEST_F(ConntrackBurst, InsertEvictingACachedHitMatchesScalar) {
+  ConntrackConfig config;
+  config.mode = CtMode::kNat;
+  config.table.max_flows = 256;  // one slab: the 257th flow evicts
+  ConntrackEnetstl burst_ct(config);
+  ConntrackEnetstl scalar_ct(config);
+  std::vector<ebpf::FiveTuple> flows;
+  for (u32 i = 0; i < 256; ++i) {
+    flows.push_back(TcpFlow(i));
+  }
+  OpenOnBoth(burst_ct, scalar_ct, flows);
+  ASSERT_EQ(burst_ct.table().live_flows(), 256u);
+  ExpectBurstMatchesTwin(
+      burst_ct, scalar_ct,
+      {MakePacket(flows[1]), MakePacket(flows[0]),
+       MakePacket(TcpFlow(1000), kTcpSyn), MakePacket(flows[0]),
+       MakePacket(flows[1]), MakePacket(flows[2]), MakePacket(flows[3]),
+       MakePacket(TcpFlow(1000))});
+  EXPECT_GT(burst_ct.table().stats().lru_evictions, 0u);
+  EXPECT_EQ(burst_ct.table().stats().lru_evictions,
+            scalar_ct.table().stats().lru_evictions);
+}
+
+// kNat reply tuples come from the binding, so a later flow's reply tuple can
+// equal the key of a live flow cached as a hit. The new flow goes to the
+// head of that key's chain and shadows the cached entry: per packet, the
+// next packet with that key resolves to the new flow, in reply direction.
+TEST_F(ConntrackBurst, NatReplyTupleShadowingACachedHitMatchesScalar) {
+  ConntrackConfig config;
+  config.mode = CtMode::kNat;
+  ConntrackEnetstl burst_ct(config);
+  ConntrackEnetstl scalar_ct(config);
+  // Flow E takes binding 0, so the next new flow F takes binding 1. F's
+  // reply tuple is {F.dst -> binding 1}, with F.dst_port as source port;
+  // E's forward key is chosen to be exactly that tuple.
+  const u32 outside = 0xc6336401u;
+  ebpf::FiveTuple e_key;
+  e_key.src_ip = outside;
+  e_key.dst_ip = config.nat_ip_base;
+  e_key.src_port = 4242;
+  e_key.dst_port = static_cast<u16>(config.nat_port_base + 1);
+  e_key.protocol = kProtoTcp;
+  ebpf::FiveTuple f_key;
+  f_key.src_ip = 0x0a000909u;
+  f_key.dst_ip = outside;
+  f_key.src_port = 5555;
+  f_key.dst_port = 4242;
+  f_key.protocol = kProtoTcp;
+  OpenOnBoth(burst_ct, scalar_ct, {e_key});
+  ExpectBurstMatchesTwin(burst_ct, scalar_ct,
+                         {MakePacket(e_key), MakePacket(f_key, kTcpSyn),
+                          MakePacket(e_key), MakePacket(f_key),
+                          MakePacket(e_key)});
+  // The case is exercised only if E's key now resolves to F's reply side.
+  u8 dir = 0;
+  u32 handle = 0;
+  const FlowEntry* e = burst_ct.table().Find(e_key, 0, &dir, &handle);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(dir, 1);
+  EXPECT_EQ(e->key[0], f_key);
+}
+
+// A state change that shortens the flow's life to zero: the FIN makes the
+// flow due at the burst's own clock, without any insert or release, so the
+// next packet of the flow must find it expired, free it and open a new flow
+// (as Find does per packet) instead of reusing its cached hit.
+TEST_F(ConntrackBurst, StateChangeExpiringACachedHitMatchesScalar) {
+  ConntrackConfig config;
+  config.mode = CtMode::kTrack;
+  config.table.fin_timeout_ns = 0;
+  ConntrackEnetstl burst_ct(config);
+  ConntrackEnetstl scalar_ct(config);
+  const ebpf::FiveTuple a = TcpFlow(11);
+  OpenOnBoth(burst_ct, scalar_ct, {a, TcpFlow(12)});
+  ExpectBurstMatchesTwin(
+      burst_ct, scalar_ct,
+      {MakePacket(a), MakePacket(a, kTcpFin), MakePacket(a),
+       MakePacket(FlowTable::ReverseTuple(a)), MakePacket(TcpFlow(12))});
+  EXPECT_EQ(burst_ct.table().stats().expired_lazy, 1u);
+}
+
+// Randomized churn at a burst size of 3*32+7 (one full chunk plus a tail):
+// SYNs of new flows, RSTs, FINs, reply-direction packets, and a small table
+// so inserts evict mid-burst, in both stateful modes.
+TEST_F(ConntrackBurst, ChurnAtBurstSize103MatchesScalar) {
+  for (const CtMode mode : {CtMode::kTrack, CtMode::kNat}) {
+    ConntrackConfig config;
+    config.mode = mode;
+    config.table.max_flows = 256;
+    ConntrackEnetstl burst_ct(config);
+    ConntrackEnetstl scalar_ct(config);
+    const auto flows = pktgen::MakeFlowPopulation(400, 0x5eed103);
+    pktgen::Rng rng(0x103);
+    constexpr u32 kBurst = 3 * 32 + 7;
+    u64 now = 0;
+    for (u32 round = 0; round < 24; ++round) {
+      std::vector<pktgen::Packet> packets(kBurst);
+      for (u32 i = 0; i < kBurst; ++i) {
+        ebpf::FiveTuple t = flows[rng.NextBounded(flows.size())];
+        t.protocol = kProtoTcp;
+        if (mode == CtMode::kTrack && rng.NextBounded(4) == 0) {
+          t = FlowTable::ReverseTuple(t);
+        }
+        const u32 r = static_cast<u32>(rng.NextBounded(100));
+        const u8 flags = r < 8    ? kTcpRst
+                         : r < 14 ? kTcpFin
+                         : r < 30 ? kTcpSyn
+                                  : kTcpAck;
+        packets[i] = MakePacket(t, flags);
+      }
+      SCOPED_TRACE("round " + std::to_string(round));
+      ExpectBurstMatchesTwin(burst_ct, scalar_ct, packets);
+      // Both twins see the same clock. Most rounds step a little and sweep
+      // (with a full table, which flows the sweep has freed decides which
+      // ones an insert evicts); every sixth jumps past the NEW timeout
+      // without sweeping, so the next burst meets due entries and frees
+      // them lazily.
+      if (round % 6 == 5) {
+        now += config.table.new_timeout_ns;
+        burst_ct.SetNow(now);
+        scalar_ct.SetNow(now);
+      } else {
+        now += config.table.fin_timeout_ns / 8;
+        burst_ct.AdvanceTo(now);
+        scalar_ct.AdvanceTo(now);
+      }
+    }
+    EXPECT_GT(burst_ct.table().stats().lru_evictions, 0u);
+    EXPECT_GT(burst_ct.table().stats().expired_lazy +
+                  burst_ct.table().stats().timeout_evictions,
+              0u);
+    EXPECT_GT(burst_ct.torn_down(), 0u);
+  }
 }
 
 }  // namespace

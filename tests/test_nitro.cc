@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -181,6 +183,27 @@ TEST(NitroRows, OutOfRangeGeometryIsRejectedInEveryVariant) {
       NitroConfig config;
       config.rows = rows;
       EXPECT_NO_THROW(Make(kind, config)) << "rows " << rows;
+    }
+  }
+}
+
+// update_prob is the sampling probability p: NitroBase adds round(1 / p)
+// per sampled row and the geometric pools draw skips with success
+// probability p. Outside (0, 1] the increment conversion is undefined
+// (p <= 0, NaN) or rounds to 0 or 1 (p > 1), so every variant refuses it.
+TEST(NitroRows, UpdateProbOutOfRangeIsRejectedInEveryVariant) {
+  for (const Kind kind : {Kind::kEbpf, Kind::kKernel, Kind::kEnetstl}) {
+    for (const double p : {0.0, -0.5, 1.5, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
+      NitroConfig config;
+      config.update_prob = p;
+      EXPECT_THROW(Make(kind, config), std::invalid_argument)
+          << "update_prob " << p << " kind " << static_cast<int>(kind);
+    }
+    for (const double p : {1.0, 0.5, 1e-6}) {
+      NitroConfig config;
+      config.update_prob = p;
+      EXPECT_NO_THROW(Make(kind, config)) << "update_prob " << p;
     }
   }
 }
