@@ -139,8 +139,9 @@ class FlowTable {
 
   // Batched two-stage paired lookup (LookupPairBatch): stage 1 hashes every
   // key and prefetches its index bucket through one kfunc boundary, stage 2
-  // prefetches the first chain entry per key, stage 3 confirms. Pure — due entries come back as kExpired for the caller to
-  // collect through Revalidate (or Find). n is at most kMaxNfBurst.
+  // prefetches the first chain entry per key, stage 3 confirms. Pure — due
+  // entries come back as kExpired for the caller to collect through
+  // Revalidate (or Find). n is at most kMaxNfBurst.
   void FindBatch(const ebpf::FiveTuple* keys, u32 n, u64 now_ns, Lookup* out);
 
   // Consumes one FindBatch result after earlier packets of the same burst
